@@ -72,6 +72,33 @@ func TestRenderAllMatchesPreIndexGolden(t *testing.T) {
 	}
 }
 
+// TestRenderAllMatchesK12Golden pins the model kernels at the paper's
+// class count: testdata/golden_suite_seed7_scale0.02_k12.txt was rendered
+// (full suite, Seed 7, Scale 0.02, K 12) before the LCA and ZIP/IRLS
+// kernels were rewritten to tabulate their logs and lgammas. The rewrite
+// keeps every floating-point operation that feeds a result, so the
+// report must match byte for byte at every worker count.
+func TestRenderAllMatchesK12Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_suite_seed7_scale0.02_k12.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Generate(Config{Seed: 7, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		res, err := Run(d, RunOptions{Seed: 7, LatentClassK: 12, Workers: w})
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", w, err)
+		}
+		if got := RenderAll(res); got != string(want) {
+			t.Errorf("Workers=%d: RenderAll diverged from the k=12 golden (%d vs %d bytes)",
+				w, len(got), len(want))
+		}
+	}
+}
+
 // csvPairReaders renders d's canonical CSV pair in memory.
 func csvPairReaders(t *testing.T, d *Dataset) (contracts, users *bytes.Reader) {
 	t.Helper()

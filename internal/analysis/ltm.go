@@ -117,19 +117,19 @@ func LatentClasses(d *dataset.Dataset, opts LTMOptions, src *rng.Source) (*LTMRe
 		}
 	}
 
-	// Transition matrix over consecutive months.
-	seqs := make(map[string][]int)
-	for _, o := range obs {
-		key := fmt.Sprintf("u%d", o.User)
-		seq, ok := seqs[key]
-		if !ok {
-			seq = make([]int, dataset.NumMonths)
-			for i := range seq {
-				seq[i] = -1
+	// Transition matrix over consecutive months. obs is sorted by (user,
+	// month), so each user's observations form one run: one sequence per
+	// run, -1 in the months the user was absent.
+	var seqs [][]int
+	for i, o := range obs {
+		if i == 0 || o.User != obs[i-1].User {
+			seq := make([]int, dataset.NumMonths)
+			for m := range seq {
+				seq[m] = -1
 			}
-			seqs[key] = seq
+			seqs = append(seqs, seq)
 		}
-		seq[o.Month] = o.Class
+		seqs[len(seqs)-1][o.Month] = o.Class
 	}
 	res.Transition = stats.TransitionMatrix(seqs, opts.K, false)
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/bits"
+	"sort"
 	"time"
 
 	"turnup/internal/chain"
@@ -99,8 +100,10 @@ func valuesIdx(ix *Index) ValueReport {
 		ByType:      make(map[forum.ContractType]TypeValueSummary),
 	}
 	ledgerEmpty := !d.HasLedger()
-	actAcc := map[textmine.Category]*ValueRow{}
-	methAcc := map[textmine.Method]*MethodValueRow{}
+	// Table 5 accumulators, indexed like textmine.Categories and
+	// textmine.Methods (the bit positions of the index's masks).
+	actAcc := make([]*ValueRow, len(textmine.Categories))
+	methAcc := make([]*MethodValueRow, len(textmine.Methods))
 	userValue := map[forum.UserID]float64{}
 	extracted := ix.groups().extractedValues()
 
@@ -176,22 +179,22 @@ func valuesIdx(ix *Index) ValueReport {
 		// Table 5 left: per-activity maker/taker value sums — bitmask union
 		// of both sides' categories instead of a per-contract map.
 		for mask := ix.categoryMask(c); mask != 0; mask &= mask - 1 {
-			cat := textmine.Categories[trailingBit(mask)]
-			row, ok := actAcc[cat]
-			if !ok {
-				row = &ValueRow{Category: cat}
-				actAcc[cat] = row
+			b := trailingBit(mask)
+			row := actAcc[b]
+			if row == nil {
+				row = &ValueRow{Category: textmine.Categories[b]}
+				actAcc[b] = row
 			}
 			row.MakersUSD += mv
 			row.TakersUSD += tv
 		}
 		// Table 5 right: per-method value sums.
 		for mask := ix.methodMask(c); mask != 0; mask &= mask - 1 {
-			m := textmine.Methods[trailingBit(mask)]
-			row, ok := methAcc[m]
-			if !ok {
-				row = &MethodValueRow{Method: m}
-				methAcc[m] = row
+			b := trailingBit(mask)
+			row := methAcc[b]
+			if row == nil {
+				row = &MethodValueRow{Method: textmine.Methods[b]}
+				methAcc[b] = row
 			}
 			row.MakersUSD += mv
 			row.TakersUSD += tv
@@ -207,14 +210,8 @@ func valuesIdx(ix *Index) ValueReport {
 			r.ByType[t] = ts
 		}
 	}
-	for _, row := range actAcc {
-		r.ActivityValues = append(r.ActivityValues, *row)
-	}
-	sortValueRows(r.ActivityValues)
-	for _, row := range methAcc {
-		r.MethodValues = append(r.MethodValues, *row)
-	}
-	sortMethodRows(r.MethodValues)
+	r.ActivityValues = rankRows(actAcc)
+	r.MethodValues = rankRows(methAcc)
 
 	r.ExtrapolatedUSD = extrapolate(ix, r.ByType)
 	r.TopDecileShare, r.MeanPerUserUSD = userValueStats(userValue)
@@ -293,24 +290,18 @@ func userValueStats(userValue map[forum.UserID]float64) (topDecileShare, meanPer
 	return stats.ShareOfTop(vals, 0.10), stats.Mean(vals)
 }
 
-func sortValueRows(rows []ValueRow) {
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].TotalUSD() > rows[i].TotalUSD() {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
+// rankRows gathers the accumulated Table 5 rows (nil entries are buckets
+// no contract touched) in declared order and sorts them by total,
+// descending; rows with equal totals keep their declared order.
+func rankRows[R interface{ TotalUSD() float64 }](acc []*R) []R {
+	var rows []R
+	for _, row := range acc {
+		if row != nil {
+			rows = append(rows, *row)
 		}
 	}
-}
-
-func sortMethodRows(rows []MethodValueRow) {
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].TotalUSD() > rows[i].TotalUSD() {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
-		}
-	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].TotalUSD() > rows[j].TotalUSD() })
+	return rows
 }
 
 // ValueTrend is Figure 11: monthly USD value by contract type, by the

@@ -35,6 +35,20 @@ func SignificanceStars(p float64) string {
 // PoissonLogPMF returns log P(Y = k) for Y ~ Poisson(lambda).
 // For lambda <= 0 it returns 0 probability mass except at k == 0.
 func PoissonLogPMF(k int, lambda float64) float64 {
+	return poissonLogPMFLg(k, lambda, lgammaCount(k))
+}
+
+// lgammaCount returns lgamma(k+1), the log-factorial term of a count k.
+// The model kernels tabulate it once per fit, since a fit evaluates the
+// same counts' PMFs many times over.
+func lgammaCount(k int) float64 {
+	lg, _ := math.Lgamma(float64(k) + 1)
+	return lg
+}
+
+// poissonLogPMFLg is PoissonLogPMF with lg = lgammaCount(k) supplied by
+// the caller.
+func poissonLogPMFLg(k int, lambda, lg float64) float64 {
 	if k < 0 {
 		return math.Inf(-1)
 	}
@@ -44,7 +58,6 @@ func PoissonLogPMF(k int, lambda float64) float64 {
 		}
 		return math.Inf(-1)
 	}
-	lg, _ := math.Lgamma(float64(k) + 1)
 	return float64(k)*math.Log(lambda) - lambda - lg
 }
 
@@ -56,13 +69,19 @@ func PoissonPMF(k int, lambda float64) float64 {
 // ZIPLogPMF returns the log probability mass of a zero-inflated Poisson
 // with structural-zero probability pi and Poisson mean lambda.
 func ZIPLogPMF(k int, pi, lambda float64) float64 {
+	return zipLogPMFLg(k, pi, lambda, lgammaCount(k))
+}
+
+// zipLogPMFLg is ZIPLogPMF with lg = lgammaCount(k) supplied by the
+// caller.
+func zipLogPMFLg(k int, pi, lambda, lg float64) float64 {
 	if k < 0 {
 		return math.Inf(-1)
 	}
 	if k == 0 {
 		return math.Log(pi + (1-pi)*math.Exp(-lambda))
 	}
-	return math.Log1p(-pi) + PoissonLogPMF(k, lambda)
+	return math.Log1p(-pi) + poissonLogPMFLg(k, lambda, lg)
 }
 
 // regularizedGammaP computes P(a, x), the regularised lower incomplete

@@ -43,22 +43,31 @@ func clampEta(eta float64) float64 {
 // prior observation weights (nil for unit weights). X must include an
 // intercept column if one is desired.
 func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
-	if err := checkDesign(x, y, weights); err != nil {
+	fit, err := poissonFit(x, y, weights)
+	if err != nil {
 		return nil, err
 	}
-	n, p := x.Rows, x.Cols
-	beta := make([]float64, p)
+	res := fit.result(weights)
+	res.LogLik = poissonLogLik(x, y, weights, fit.coef, false)
+	if err := finishGLM(res, x, fit.w); err != nil {
+		return nil, err
+	}
+	res.NullLik = poissonNullLik(y, weights)
+	fillFitStats(res, x.Cols)
+	return res, nil
+}
+
+// poissonFit is PoissonRegression's coefficient path: the IRLS loop
+// alone, without the standard errors and fit statistics.
+func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return irlsFit{}, err
+	}
+	beta := make([]float64, x.Cols)
 	// Start from the log of the weighted mean for the intercept-ish scale.
 	beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
-
-	w := make([]float64, n) // IRLS working weights
-	z := make([]float64, n) // working response
-	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
-	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
-		lik := 0.0
-		for i := 0; i < n; i++ {
+	work := func(beta, w, z []float64) {
+		for i := range w {
 			wi := priorWeight(weights, i)
 			eta := clampEta(Dot(x.Row(i), beta))
 			mu := math.Exp(eta)
@@ -68,42 +77,24 @@ func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 			} else {
 				z[i] = eta
 			}
-			if wi > 0 {
-				lik += wi * PoissonLogPMF(int(math.Round(y[i])), mu)
-			}
 		}
-		gram := XtWX(x, w)
-		rhs := XtWz(x, w, z)
-		next, err := SolveSPD(gram, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
-		}
-		delta := 0.0
-		for j := range beta {
-			delta += math.Abs(next[j] - beta[j])
-		}
-		beta = next
-		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
-			break
-		}
-		prevLik = lik
 	}
-	res.Coef = beta
-	res.LogLik = poissonLogLik(x, y, weights, beta)
-	if err := finishGLM(res, x, w, weights); err != nil {
-		return nil, err
+	lik := func(beta []float64) float64 { return poissonLogLik(x, y, weights, beta, true) }
+	fit, err := irls(x, beta, work, lik)
+	if err != nil {
+		return irlsFit{}, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
 	}
-	res.NullLik = poissonNullLik(y, weights)
-	fillFitStats(res, p)
-	return res, nil
+	return fit, nil
 }
 
-func poissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+// poissonLogLik sums wi·log P(y_i | beta) over the rows with a non-zero
+// prior weight, or only over those with a positive one when positiveOnly
+// is set (the IRLS stop test's convention).
+func poissonLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnly bool) float64 {
 	lik := 0.0
 	for i := 0; i < x.Rows; i++ {
 		wi := priorWeight(weights, i)
-		if wi == 0 {
+		if wi == 0 || positiveOnly && !(wi > 0) {
 			continue
 		}
 		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
@@ -130,57 +121,13 @@ func poissonNullLik(y, weights []float64) float64 {
 // M-step relies on this — in which case the "likelihood" is the usual
 // quasi-likelihood with fractional successes. weights may be nil.
 func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
-	if err := checkDesign(x, y, weights); err != nil {
+	fit, err := logisticFit(x, y, weights)
+	if err != nil {
 		return nil, err
 	}
-	for _, v := range y {
-		if v < 0 || v > 1 {
-			return nil, errors.New("stats: logistic response outside [0,1]")
-		}
-	}
-	n, p := x.Rows, x.Cols
-	beta := make([]float64, p)
-	w := make([]float64, n)
-	z := make([]float64, n)
-	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
-	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
-		lik := 0.0
-		for i := 0; i < n; i++ {
-			wi := priorWeight(weights, i)
-			eta := clampEta(Dot(x.Row(i), beta))
-			mu := 1 / (1 + math.Exp(-eta))
-			v := mu * (1 - mu)
-			if v < 1e-10 {
-				v = 1e-10
-			}
-			w[i] = wi * v
-			z[i] = eta + (y[i]-mu)/v
-			if wi > 0 {
-				lik += wi * bernoulliLogLik(y[i], mu)
-			}
-		}
-		gram := XtWX(x, w)
-		rhs := XtWz(x, w, z)
-		next, err := SolveSPD(gram, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("stats: logistic Newton step failed: %w", err)
-		}
-		delta := 0.0
-		for j := range beta {
-			delta += math.Abs(next[j] - beta[j])
-		}
-		beta = next
-		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
-			break
-		}
-		prevLik = lik
-	}
-	res.Coef = beta
-	res.LogLik = logisticLogLik(x, y, weights, beta)
-	if err := finishGLM(res, x, w, weights); err != nil {
+	res := fit.result(weights)
+	res.LogLik = logisticLogLik(x, y, weights, fit.coef, false)
+	if err := finishGLM(res, x, fit.w); err != nil {
 		return nil, err
 	}
 	// Null model: intercept only, p = weighted mean of y.
@@ -191,8 +138,39 @@ func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		null += wi * bernoulliLogLik(yi, pbar)
 	}
 	res.NullLik = null
-	fillFitStats(res, p)
+	fillFitStats(res, x.Cols)
 	return res, nil
+}
+
+// logisticFit is LogisticRegression's coefficient path.
+func logisticFit(x *Matrix, y, weights []float64) (irlsFit, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return irlsFit{}, err
+	}
+	for _, v := range y {
+		if v < 0 || v > 1 {
+			return irlsFit{}, errors.New("stats: logistic response outside [0,1]")
+		}
+	}
+	work := func(beta, w, z []float64) {
+		for i := range w {
+			wi := priorWeight(weights, i)
+			eta := clampEta(Dot(x.Row(i), beta))
+			mu := 1 / (1 + math.Exp(-eta))
+			v := mu * (1 - mu)
+			if v < 1e-10 {
+				v = 1e-10
+			}
+			w[i] = wi * v
+			z[i] = eta + (y[i]-mu)/v
+		}
+	}
+	lik := func(beta []float64) float64 { return logisticLogLik(x, y, weights, beta, true) }
+	fit, err := irls(x, make([]float64, x.Cols), work, lik)
+	if err != nil {
+		return irlsFit{}, fmt.Errorf("stats: logistic Newton step failed: %w", err)
+	}
+	return fit, nil
 }
 
 func bernoulliLogLik(y, mu float64) float64 {
@@ -206,11 +184,12 @@ func bernoulliLogLik(y, mu float64) float64 {
 	return y*math.Log(mu) + (1-y)*math.Log(1-mu)
 }
 
-func logisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+// logisticLogLik is poissonLogLik's Bernoulli counterpart.
+func logisticLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnly bool) float64 {
 	lik := 0.0
 	for i := 0; i < x.Rows; i++ {
 		wi := priorWeight(weights, i)
-		if wi == 0 {
+		if wi == 0 || positiveOnly && !(wi > 0) {
 			continue
 		}
 		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
@@ -219,9 +198,69 @@ func logisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
 	return lik
 }
 
+// irlsFit is the outcome of the shared IRLS loop: the coefficients, the
+// working weights of the last iteration (whose Gram matrix is the
+// observed information), the iterations used and whether the stop test
+// was met.
+type irlsFit struct {
+	coef      []float64
+	w         []float64
+	iters     int
+	converged bool
+}
+
+func (f irlsFit) result(weights []float64) *GLMResult {
+	return &GLMResult{Coef: f.coef, N: effectiveN(weights, len(f.w)), Iters: f.iters, Converged: f.converged}
+}
+
+// irls runs the Newton/IRLS loop shared by the Poisson and logistic fits
+// from the starting coefficients beta. work fills every row's working
+// weight and response at the current coefficients; loglik is the
+// quasi-likelihood the stop test compares between consecutive iterates.
+//
+// The loop stops when both the coefficient step and the likelihood change
+// are small. The likelihood is a pure function of the coefficients, so it
+// is evaluated only once the step test holds, for the current and the
+// previous iterate, and remembered for the next iteration: the stop
+// decisions, and so the iterations and coefficients, are exactly those of
+// evaluating it on every iteration.
+func irls(x *Matrix, beta []float64, work func(beta, w, z []float64), loglik func(beta []float64) float64) (irlsFit, error) {
+	n := x.Rows
+	w := make([]float64, n) // IRLS working weights
+	z := make([]float64, n) // working response
+	var prevBeta []float64
+	lik, prevLik := 0.0, math.Inf(-1)
+	haveLik, havePrev := false, true
+	for iter := 1; iter <= glmMaxIter; iter++ {
+		work(beta, w, z)
+		next, err := SolveSPD(XtWX(x, w), XtWz(x, w, z))
+		if err != nil {
+			return irlsFit{}, err
+		}
+		delta := 0.0
+		for j := range beta {
+			delta += math.Abs(next[j] - beta[j])
+		}
+		if delta < 1e-7 {
+			if !haveLik {
+				lik, haveLik = loglik(beta), true
+			}
+			if !havePrev {
+				prevLik, havePrev = loglik(prevBeta), true
+			}
+			if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) {
+				return irlsFit{coef: next, w: w, iters: iter, converged: true}, nil
+			}
+		}
+		prevBeta, prevLik, havePrev = beta, lik, haveLik
+		beta, haveLik = next, false
+	}
+	return irlsFit{coef: beta, w: w, iters: glmMaxIter}, nil
+}
+
 // finishGLM computes standard errors from the final working-weight Gram
 // matrix (the observed information for canonical links).
-func finishGLM(res *GLMResult, x *Matrix, w, prior []float64) error {
+func finishGLM(res *GLMResult, x *Matrix, w []float64) error {
 	info := XtWX(x, w)
 	cov, err := InvertSPD(info)
 	if err != nil {

@@ -1,0 +1,535 @@
+package stats
+
+// Reference implementations of the model kernels as they stood before the
+// table-driven rewrite: every loop recomputes its logs, lgammas and
+// likelihoods in place. The bit-exactness tests in kernels_test.go run
+// these beside the production kernels on the same inputs and require
+// Float64bits-equal results, so any change to the production kernels
+// that alters one rounding step fails there.
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"turnup/internal/rng"
+)
+
+func refPoissonLogPMF(k int, lambda float64) float64 {
+	if k < 0 {
+		return math.Inf(-1)
+	}
+	if lambda <= 0 {
+		if k == 0 {
+			return 0
+		}
+		return math.Inf(-1)
+	}
+	lg, _ := math.Lgamma(float64(k) + 1)
+	return float64(k)*math.Log(lambda) - lambda - lg
+}
+
+func refZIPLogPMF(k int, pi, lambda float64) float64 {
+	if k < 0 {
+		return math.Inf(-1)
+	}
+	if k == 0 {
+		return math.Log(pi + (1-pi)*math.Exp(-lambda))
+	}
+	return math.Log1p(-pi) + refPoissonLogPMF(k, lambda)
+}
+
+func refXtWX(x *Matrix, w []float64) *Matrix {
+	p := x.Cols
+	out := NewMatrix(p, p)
+	for i := 0; i < x.Rows; i++ {
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+		}
+		if wi == 0 {
+			continue
+		}
+		row := x.Row(i)
+		for a := 0; a < p; a++ {
+			ra := wi * row[a]
+			if ra == 0 {
+				continue
+			}
+			for b := a; b < p; b++ {
+				out.Data[a*p+b] += ra * row[b]
+			}
+		}
+	}
+	for a := 0; a < p; a++ {
+		for b := 0; b < a; b++ {
+			out.Data[a*p+b] = out.Data[b*p+a]
+		}
+	}
+	return out
+}
+
+func refXtWz(x *Matrix, w, z []float64) []float64 {
+	p := x.Cols
+	out := make([]float64, p)
+	for i := 0; i < x.Rows; i++ {
+		wi := 1.0
+		if w != nil {
+			wi = w[i]
+		}
+		wz := wi * z[i]
+		if wz == 0 {
+			continue
+		}
+		row := x.Row(i)
+		for a := 0; a < p; a++ {
+			out[a] += row[a] * wz
+		}
+	}
+	return out
+}
+
+func refFitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
+	n := len(data)
+	if n == 0 {
+		return nil, fmt.Errorf("stats: LCA on empty data")
+	}
+	d := len(data[0])
+	if k <= 0 || k > n {
+		return nil, fmt.Errorf("stats: LCA k=%d with n=%d", k, n)
+	}
+
+	res := &LCAResult{K: k, D: d, N: n}
+	global := make([]float64, d)
+	for _, row := range data {
+		for j, v := range row {
+			global[j] += v
+		}
+	}
+	for j := range global {
+		global[j] /= float64(n)
+	}
+	rates := make([][]float64, k)
+	for c := range rates {
+		anchor := data[src.Intn(n)]
+		rates[c] = make([]float64, d)
+		for j := range rates[c] {
+			rates[c][j] = math.Max(0.7*anchor[j]+0.3*global[j]+0.05*src.Float64(), lcaRateEps)
+		}
+	}
+	weights := make([]float64, k)
+	for c := range weights {
+		weights[c] = 1 / float64(k)
+	}
+
+	post := make([][]float64, n)
+	for i := range post {
+		post[i] = make([]float64, k)
+	}
+	logp := make([]float64, k)
+	prev := math.Inf(-1)
+	for iter := 1; iter <= lcaMaxIter; iter++ {
+		res.Iters = iter
+		lik := 0.0
+		for i, row := range data {
+			for c := 0; c < k; c++ {
+				lp := math.Log(weights[c])
+				for j, v := range row {
+					lp += refPoissonLogPMF(int(v), rates[c][j])
+				}
+				logp[c] = lp
+			}
+			lse := logSumExp(logp)
+			lik += lse
+			for c := 0; c < k; c++ {
+				post[i][c] = math.Exp(logp[c] - lse)
+			}
+		}
+		if math.Abs(lik-prev) < lcaTol*(math.Abs(lik)+1) {
+			res.Converged = true
+			res.LogLik = lik
+			break
+		}
+		prev = lik
+		res.LogLik = lik
+
+		for c := 0; c < k; c++ {
+			wc := 0.0
+			for i := range data {
+				wc += post[i][c]
+			}
+			weights[c] = wc / float64(n)
+			for j := 0; j < d; j++ {
+				num := 0.0
+				for i, row := range data {
+					num += post[i][c] * row[j]
+				}
+				if wc > 0 {
+					rates[c][j] = math.Max(num/wc, lcaRateEps)
+				}
+			}
+		}
+	}
+
+	res.Weights = weights
+	res.Rates = rates
+	res.Posterior = post
+	res.Assignment = make([]int, n)
+	for i := range post {
+		best, bestP := 0, post[i][0]
+		for c := 1; c < k; c++ {
+			if post[i][c] > bestP {
+				best, bestP = c, post[i][c]
+			}
+		}
+		res.Assignment[i] = best
+	}
+	params := float64(k - 1 + k*d)
+	res.AIC = -2*res.LogLik + 2*params
+	res.BIC = -2*res.LogLik + params*math.Log(float64(n))
+	return res, nil
+}
+
+func refPoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return nil, err
+	}
+	n, p := x.Rows, x.Cols
+	beta := make([]float64, p)
+	beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
+
+	w := make([]float64, n)
+	z := make([]float64, n)
+	prevLik := math.Inf(-1)
+	res := &GLMResult{N: effectiveN(weights, n)}
+	for iter := 1; iter <= glmMaxIter; iter++ {
+		res.Iters = iter
+		lik := 0.0
+		for i := 0; i < n; i++ {
+			wi := priorWeight(weights, i)
+			eta := clampEta(Dot(x.Row(i), beta))
+			mu := math.Exp(eta)
+			w[i] = wi * mu
+			if mu > 0 {
+				z[i] = eta + (y[i]-mu)/mu
+			} else {
+				z[i] = eta
+			}
+			if wi > 0 {
+				lik += wi * refPoissonLogPMF(int(math.Round(y[i])), mu)
+			}
+		}
+		gram := refXtWX(x, w)
+		rhs := refXtWz(x, w, z)
+		next, err := SolveSPD(gram, rhs)
+		if err != nil {
+			return nil, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
+		}
+		delta := 0.0
+		for j := range beta {
+			delta += math.Abs(next[j] - beta[j])
+		}
+		beta = next
+		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
+			res.Converged = true
+			break
+		}
+		prevLik = lik
+	}
+	res.Coef = beta
+	res.LogLik = refPoissonLogLik(x, y, weights, beta)
+	if err := refFinishGLM(res, x, w); err != nil {
+		return nil, err
+	}
+	mu := weightedMean(y, weights)
+	for i, yi := range y {
+		wi := priorWeight(weights, i)
+		if wi == 0 {
+			continue
+		}
+		res.NullLik += wi * refPoissonLogPMF(int(math.Round(yi)), mu)
+	}
+	fillFitStats(res, p)
+	return res, nil
+}
+
+func refPoissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+	lik := 0.0
+	for i := 0; i < x.Rows; i++ {
+		wi := priorWeight(weights, i)
+		if wi == 0 {
+			continue
+		}
+		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
+		lik += wi * refPoissonLogPMF(int(math.Round(y[i])), mu)
+	}
+	return lik
+}
+
+func refLogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return nil, err
+	}
+	for _, v := range y {
+		if v < 0 || v > 1 {
+			return nil, errors.New("stats: logistic response outside [0,1]")
+		}
+	}
+	n, p := x.Rows, x.Cols
+	beta := make([]float64, p)
+	w := make([]float64, n)
+	z := make([]float64, n)
+	prevLik := math.Inf(-1)
+	res := &GLMResult{N: effectiveN(weights, n)}
+	for iter := 1; iter <= glmMaxIter; iter++ {
+		res.Iters = iter
+		lik := 0.0
+		for i := 0; i < n; i++ {
+			wi := priorWeight(weights, i)
+			eta := clampEta(Dot(x.Row(i), beta))
+			mu := 1 / (1 + math.Exp(-eta))
+			v := mu * (1 - mu)
+			if v < 1e-10 {
+				v = 1e-10
+			}
+			w[i] = wi * v
+			z[i] = eta + (y[i]-mu)/v
+			if wi > 0 {
+				lik += wi * bernoulliLogLik(y[i], mu)
+			}
+		}
+		gram := refXtWX(x, w)
+		rhs := refXtWz(x, w, z)
+		next, err := SolveSPD(gram, rhs)
+		if err != nil {
+			return nil, fmt.Errorf("stats: logistic Newton step failed: %w", err)
+		}
+		delta := 0.0
+		for j := range beta {
+			delta += math.Abs(next[j] - beta[j])
+		}
+		beta = next
+		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
+			res.Converged = true
+			break
+		}
+		prevLik = lik
+	}
+	res.Coef = beta
+	lik := 0.0
+	for i := 0; i < x.Rows; i++ {
+		wi := priorWeight(weights, i)
+		if wi == 0 {
+			continue
+		}
+		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
+		lik += wi * bernoulliLogLik(y[i], mu)
+	}
+	res.LogLik = lik
+	if err := refFinishGLM(res, x, w); err != nil {
+		return nil, err
+	}
+	pbar := weightedMean(y, weights)
+	null := 0.0
+	for i, yi := range y {
+		wi := priorWeight(weights, i)
+		null += wi * bernoulliLogLik(yi, pbar)
+	}
+	res.NullLik = null
+	fillFitStats(res, p)
+	return res, nil
+}
+
+func refFinishGLM(res *GLMResult, x *Matrix, w []float64) error {
+	info := refXtWX(x, w)
+	cov, err := InvertSPD(info)
+	if err != nil {
+		return fmt.Errorf("stats: information matrix not invertible: %w", err)
+	}
+	p := x.Cols
+	res.StdErr = make([]float64, p)
+	res.ZValues = make([]float64, p)
+	res.PValues = make([]float64, p)
+	for j := 0; j < p; j++ {
+		res.StdErr[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
+		if res.StdErr[j] > 0 {
+			res.ZValues[j] = res.Coef[j] / res.StdErr[j]
+		}
+		res.PValues[j] = PValueTwoSided(res.ZValues[j])
+	}
+	return nil
+}
+
+func refZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroNames []string) (*ZIPResult, error) {
+	n := len(y)
+	zeros := 0
+	for _, v := range y {
+		if v == 0 {
+			zeros++
+		}
+	}
+	beta, gamma, lik, iters, converged, err := refZIPEM(countX, y, zeroX)
+	if err != nil {
+		return nil, err
+	}
+	res := &ZIPResult{
+		N:         n,
+		PctZero:   100 * float64(zeros) / float64(n),
+		LogLik:    lik,
+		Iters:     iters,
+		Converged: converged,
+	}
+	p, q := countX.Cols, zeroX.Cols
+	k := p + q
+	res.AIC = -2*lik + 2*float64(k)
+	res.BIC = -2*lik + float64(k)*math.Log(float64(n))
+	se, err := refZIPStdErrs(countX, y, zeroX, beta, gamma)
+	if err != nil {
+		return nil, err
+	}
+	res.Count = newCoefBlock(countNames, beta, se[:p])
+	res.Zero = newCoefBlock(zeroNames, gamma, se[p:])
+
+	ones := NewMatrix(n, 1)
+	for i := 0; i < n; i++ {
+		ones.Set(i, 0, 1)
+	}
+	_, _, nullLik, _, _, err := refZIPEM(ones, y, ones)
+	if err == nil && nullLik != 0 {
+		res.McFadden = 1 - lik/nullLik
+	}
+	pois, err := refPoissonRegression(countX, y, nil)
+	if err == nil {
+		m := make([]float64, n)
+		for i := range y {
+			mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
+			pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
+			muP := math.Exp(clampEta(Dot(countX.Row(i), pois.Coef)))
+			m[i] = refZIPLogPMF(int(y[i]), pi, mu) - refPoissonLogPMF(int(y[i]), muP)
+		}
+		res.Vuong, res.VuongP = 0, 1
+		if sd := StdDev(m); sd != 0 {
+			res.Vuong = math.Sqrt(float64(n)) * Mean(m) / sd
+			res.VuongP = 1 - NormalCDF(res.Vuong)
+		}
+	}
+	return res, nil
+}
+
+func refZIPEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, lik float64, iters int, converged bool, err error) {
+	n := len(y)
+	pois, err := refPoissonRegression(countX, y, nil)
+	if err != nil {
+		return nil, nil, 0, 0, false, err
+	}
+	beta = append([]float64(nil), pois.Coef...)
+	gamma = make([]float64, zeroX.Cols)
+	zeroShare := 0.0
+	for _, v := range y {
+		if v == 0 {
+			zeroShare++
+		}
+	}
+	zeroShare /= float64(n)
+	gamma[0] = math.Log((zeroShare + 0.05) / (1 - zeroShare + 0.05))
+
+	r := make([]float64, n)
+	wCount := make([]float64, n)
+	prev := math.Inf(-1)
+	for iter := 1; iter <= zipMaxIter; iter++ {
+		iters = iter
+		lik = 0
+		for i := 0; i < n; i++ {
+			mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
+			pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
+			if y[i] == 0 {
+				pz := pi + (1-pi)*math.Exp(-mu)
+				if pz < 1e-300 {
+					pz = 1e-300
+				}
+				r[i] = pi / pz
+				lik += math.Log(pz)
+			} else {
+				r[i] = 0
+				lik += math.Log1p(-pi) + refPoissonLogPMF(int(y[i]), mu)
+			}
+			wCount[i] = 1 - r[i]
+		}
+		if math.Abs(lik-prev) < zipTol*(math.Abs(lik)+1) {
+			converged = true
+			break
+		}
+		prev = lik
+		pfit, perr := refPoissonRegression(countX, y, wCount)
+		if perr != nil {
+			return nil, nil, 0, iters, false, perr
+		}
+		beta = pfit.Coef
+		lfit, lerr := refLogisticRegression(zeroX, r, nil)
+		if lerr != nil {
+			return nil, nil, 0, iters, false, lerr
+		}
+		gamma = lfit.Coef
+	}
+	lik = refZIPLogLik(countX, y, zeroX, beta, gamma)
+	return beta, gamma, lik, iters, converged, nil
+}
+
+func refZIPLogLik(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float64) float64 {
+	lik := 0.0
+	for i := range y {
+		mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
+		pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
+		lik += refZIPLogPMF(int(y[i]), pi, mu)
+	}
+	return lik
+}
+
+func refZIPStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float64) ([]float64, error) {
+	p, q := len(beta), len(gamma)
+	k := p + q
+	theta := make([]float64, k)
+	copy(theta, beta)
+	copy(theta[p:], gamma)
+	f := func(t []float64) float64 {
+		return refZIPLogLik(countX, y, zeroX, t[:p], t[p:])
+	}
+	h := NewMatrix(k, k)
+	step := make([]float64, k)
+	for j := 0; j < k; j++ {
+		step[j] = 1e-4 * (math.Abs(theta[j]) + 1e-2)
+	}
+	for a := 0; a < k; a++ {
+		for b := a; b < k; b++ {
+			t := make([]float64, k)
+			eval := func(da, db float64) float64 {
+				copy(t, theta)
+				t[a] += da
+				t[b] += db
+				return f(t)
+			}
+			ha, hb := step[a], step[b]
+			var v float64
+			if a == b {
+				v = (eval(ha, 0) - 2*f(theta) + eval(-ha, 0)) / (ha * ha)
+			} else {
+				v = (eval(ha, hb) - eval(ha, -hb) - eval(-ha, hb) + eval(-ha, -hb)) / (4 * ha * hb)
+			}
+			h.Set(a, b, v)
+			h.Set(b, a, v)
+		}
+	}
+	info := NewMatrix(k, k)
+	for i := range info.Data {
+		info.Data[i] = -h.Data[i]
+	}
+	cov, err := InvertSPD(info)
+	if err != nil {
+		return nil, err
+	}
+	se := make([]float64, k)
+	for j := 0; j < k; j++ {
+		se[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
+	}
+	return se, nil
+}

@@ -1,0 +1,315 @@
+package stats
+
+import (
+	"math"
+	"testing"
+
+	"turnup/internal/rng"
+)
+
+// The model kernels must reproduce the reference loops in
+// kernels_ref_test.go bit for bit: every comparison below is on
+// math.Float64bits, not within a tolerance.
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func sameBit(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	sameBits(t, what, []float64{got}, []float64{want})
+}
+
+// userMonthData mimics the LTM's observations: D sparse counts per row,
+// most of them zero, with a heavy tail of busy rows.
+func userMonthData(src *rng.Source, n, d int) [][]float64 {
+	data := make([][]float64, n)
+	for i := range data {
+		row := make([]float64, d)
+		busy := 0.2
+		if src.Bool(0.1) {
+			busy = 6
+		}
+		for j := range row {
+			if src.Bool(0.3) {
+				row[j] = float64(src.Poisson(busy * float64(j%3+1)))
+			}
+		}
+		data[i] = row
+	}
+	return data
+}
+
+func TestFitLCABitExact(t *testing.T) {
+	cases := []struct {
+		name string
+		data [][]float64
+		k    int
+	}{
+		{"mixture-k2", func() [][]float64 {
+			d, _ := mixtureData(rng.New(11), 600, []float64{0.6, 0.4}, [][]float64{{1, 8}, {10, 0.5}})
+			return d
+		}(), 2},
+		{"user-months-k6", userMonthData(rng.New(12), 400, 10), 6},
+		{"user-months-k12", userMonthData(rng.New(13), 400, 10), 12},
+		{"fractional-k3", func() [][]float64 {
+			d := userMonthData(rng.New(14), 300, 4)
+			for _, row := range d {
+				row[0] += 0.5
+			}
+			return d
+		}(), 3},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 2; seed++ {
+			got, err := FitLCA(c.data, c.k, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refFitLCA(c.data, c.k, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iters != want.Iters || got.Converged != want.Converged {
+				t.Fatalf("%s/%d: iters %d converged %v, want %d %v", c.name, seed,
+					got.Iters, got.Converged, want.Iters, want.Converged)
+			}
+			sameBit(t, c.name+" LogLik", got.LogLik, want.LogLik)
+			sameBit(t, c.name+" AIC", got.AIC, want.AIC)
+			sameBit(t, c.name+" BIC", got.BIC, want.BIC)
+			sameBits(t, c.name+" Weights", got.Weights, want.Weights)
+			for cl := range want.Rates {
+				sameBits(t, c.name+" Rates", got.Rates[cl], want.Rates[cl])
+			}
+			for i := range want.Posterior {
+				sameBits(t, c.name+" Posterior", got.Posterior[i], want.Posterior[i])
+				if got.Assignment[i] != want.Assignment[i] {
+					t.Fatalf("%s: Assignment[%d] = %d, want %d", c.name, i, got.Assignment[i], want.Assignment[i])
+				}
+			}
+		}
+	}
+}
+
+func sameGLM(t *testing.T, what string, got, want *GLMResult) {
+	t.Helper()
+	if got.Iters != want.Iters || got.Converged != want.Converged || got.N != want.N {
+		t.Fatalf("%s: iters %d converged %v n %d, want %d %v %d", what,
+			got.Iters, got.Converged, got.N, want.Iters, want.Converged, want.N)
+	}
+	sameBits(t, what+" Coef", got.Coef, want.Coef)
+	sameBits(t, what+" StdErr", got.StdErr, want.StdErr)
+	sameBits(t, what+" ZValues", got.ZValues, want.ZValues)
+	sameBits(t, what+" PValues", got.PValues, want.PValues)
+	sameBits(t, what+" fit stats",
+		[]float64{got.LogLik, got.NullLik, got.AIC, got.BIC, got.McFadden},
+		[]float64{want.LogLik, want.NullLik, want.AIC, want.BIC, want.McFadden})
+}
+
+// randomDesign returns an n×p design with an intercept column and
+// standard-normal covariates.
+func randomDesign(src *rng.Source, n, p int) *Matrix {
+	x := NewMatrix(n, p)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, 1)
+		for j := 1; j < p; j++ {
+			x.Set(i, j, src.Norm())
+		}
+	}
+	return x
+}
+
+func TestPoissonRegressionBitExact(t *testing.T) {
+	src := rng.New(21)
+	x := randomDesign(src, 700, 6)
+	beta := []float64{0.3, 0.4, -0.2, 0.1, 0, 0.25}
+	y := make([]float64, x.Rows)
+	for i := range y {
+		y[i] = float64(src.Poisson(math.Exp(Dot(x.Row(i), beta))))
+	}
+	// Fractional prior weights with exact zeros, as the ZIP M-step passes.
+	w := make([]float64, len(y))
+	for i := range w {
+		if !src.Bool(0.2) {
+			w[i] = src.Float64()
+		}
+	}
+	for _, weights := range [][]float64{nil, w} {
+		got, err := PoissonRegression(x, y, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refPoissonRegression(x, y, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGLM(t, "poisson", got, want)
+	}
+}
+
+func TestLogisticRegressionBitExact(t *testing.T) {
+	src := rng.New(31)
+	x := randomDesign(src, 800, 5)
+	gamma := []float64{-0.4, 0.9, -0.5, 0.2, 0}
+	binary := make([]float64, x.Rows)
+	frac := make([]float64, x.Rows)
+	for i := range binary {
+		p := 1 / (1 + math.Exp(-Dot(x.Row(i), gamma)))
+		if src.Bool(p) {
+			binary[i] = 1
+		}
+		frac[i] = p * src.Float64()
+	}
+	// A quasi-separated zero-model M-step, shaped like the ZIP zero
+	// designs that run into the iteration cap: any dispute drives the
+	// response to within 1e-8 of zero, first-time users carry most of the
+	// mass, and length is on a scale of hundreds of days. Newton never
+	// meets its stop test here.
+	capSrc := rng.New(1)
+	sep := NewMatrix(200, 4)
+	sepY := make([]float64, sep.Rows)
+	for i := range sepY {
+		d := math.Sqrt(float64(capSrc.Poisson(0.3)))
+		ft := 0.0
+		if capSrc.Bool(0.3) {
+			ft = 1
+		}
+		length := 300 + 1000*capSrc.Float64()
+		if ft == 1 {
+			length = 360 + 15*capSrc.Float64()
+		}
+		sep.Set(i, 0, 1)
+		sep.Set(i, 1, d)
+		sep.Set(i, 2, ft)
+		sep.Set(i, 3, length)
+		switch {
+		case d > 0:
+			if capSrc.Bool(0.5) {
+				sepY[i] = math.Exp(-20 - 10*capSrc.Float64())
+			}
+		case ft == 1:
+			sepY[i] = 0.35 + 0.15*capSrc.Float64()
+		default:
+			if capSrc.Bool(0.1) {
+				sepY[i] = 4e-6 / length
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x    *Matrix
+		y    []float64
+		max  bool
+	}{
+		{"binary", x, binary, false},
+		{"fractional", x, frac, false},
+		{"quasi-separated", sep, sepY, true},
+	} {
+		got, err := LogisticRegression(c.x, c.y, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refLogisticRegression(c.x, c.y, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.max && want.Iters != glmMaxIter {
+			t.Fatalf("%s: reference stopped at %d iterations, want the cap %d", c.name, want.Iters, glmMaxIter)
+		}
+		sameGLM(t, "logistic "+c.name, got, want)
+	}
+}
+
+func TestZIPRegressionBitExact(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		seed        uint64
+		beta, gamma []float64
+	}{
+		{"moderate", 41, []float64{1.0, 0.5, -0.3}, []float64{-0.5, 0.8}},
+		// Zero-heavy: 87% of responses are zero.
+		{"zero-heavy", 42, []float64{0.2, 0.4, 0.1, -0.2}, []float64{1.8, 0.6, -0.4}},
+	} {
+		countX, y, zeroX := simulateZIP(rng.New(c.seed), 900, c.beta, c.gamma)
+		cn := make([]string, countX.Cols)
+		zn := make([]string, zeroX.Cols)
+		got, err := ZIPRegression(countX, y, zeroX, cn, zn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refZIPRegression(countX, y, zeroX, cn, zn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iters != want.Iters || got.Converged != want.Converged || got.N != want.N {
+			t.Fatalf("%s: iters %d converged %v, want %d %v", c.name, got.Iters, got.Converged, want.Iters, want.Converged)
+		}
+		sameBits(t, c.name+" fit stats",
+			[]float64{got.LogLik, got.AIC, got.BIC, got.McFadden, got.PctZero, got.Vuong, got.VuongP},
+			[]float64{want.LogLik, want.AIC, want.BIC, want.McFadden, want.PctZero, want.Vuong, want.VuongP})
+		for _, blk := range []struct {
+			name      string
+			got, want *CoefBlock
+		}{{"count", got.Count, want.Count}, {"zero", got.Zero, want.Zero}} {
+			sameBits(t, c.name+" "+blk.name+" Coef", blk.got.Coef, blk.want.Coef)
+			sameBits(t, c.name+" "+blk.name+" StdErr", blk.got.StdErr, blk.want.StdErr)
+			sameBits(t, c.name+" "+blk.name+" ZValues", blk.got.ZValues, blk.want.ZValues)
+			sameBits(t, c.name+" "+blk.name+" PValues", blk.got.PValues, blk.want.PValues)
+		}
+	}
+}
+
+func TestXtWXBitExact(t *testing.T) {
+	src := rng.New(51)
+	// Exact zeros in both the weights and the design exercise the skips.
+	for _, n := range []int{300, 301} {
+		for _, p := range []int{1, 2, 9} {
+			x := randomDesign(src, n, p)
+			for i := 0; i < x.Rows; i += 7 {
+				x.Set(i, p/2, 0)
+			}
+			w := make([]float64, x.Rows)
+			for i := range w {
+				if i%5 != 0 {
+					w[i] = src.Float64()
+				}
+			}
+			for _, weights := range [][]float64{nil, w} {
+				sameBits(t, "XtWX", XtWX(x, weights).Data, refXtWX(x, weights).Data)
+				sameBits(t, "XtWz", XtWz(x, weights, w), refXtWz(x, weights, w))
+			}
+		}
+	}
+}
+
+func BenchmarkFitLCA(b *testing.B) {
+	data := userMonthData(rng.New(61), 600, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitLCA(data, 12, rng.New(uint64(i%4)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkZIPRegression(b *testing.B) {
+	countX, y, zeroX := simulateZIP(rng.New(62), 1500,
+		[]float64{0.5, 0.3, -0.2, 0.1, 0.2, -0.1, 0.05, 0.15}, []float64{1.0, 0.5, -0.3, 0.2, 0.1})
+	cn := make([]string, countX.Cols)
+	zn := make([]string, zeroX.Cols)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ZIPRegression(countX, y, zeroX, cn, zn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -51,6 +51,9 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("stats: negative count at (%d,%d)", i, j)
 			}
+			if !(v < 1<<63) {
+				return nil, fmt.Errorf("stats: count %g at (%d,%d) out of range", v, i, j)
+			}
 		}
 	}
 	if k <= 0 || k > n {
@@ -82,28 +85,71 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		weights[c] = 1 / float64(k)
 	}
 
+	// The E-step term of cell (i, j) under class c is PoissonLogPMF(count,
+	// rate), i.e. count·log(rate) − rate − lgamma(count+1): counts are
+	// validated non-negative and rates never fall below lcaRateEps, so its
+	// other branches never apply. The lgamma part is fixed for the fit and
+	// log(rate) for an iteration, so they are tabulated (N×D once, K×D per
+	// iteration) and the term is evaluated from the tables with the same
+	// operations.
+	lgs := make([]float64, n*d)
+	for i, row := range data {
+		for j, v := range row {
+			lgs[i*d+j] = lgammaCount(int(v))
+		}
+	}
+	logW := make([]float64, k)
+	logRates := make([]float64, k*d)
+	// Sufficient statistics of the M-step, accumulated during the E-step
+	// in row order: wc[c] = Σ_i post[i][c], num[c·d+j] = Σ_i post[i][c]·x_ij.
+	wc := make([]float64, k)
+	num := make([]float64, k*d)
+
 	post := make([][]float64, n)
+	postData := make([]float64, n*k)
 	for i := range post {
-		post[i] = make([]float64, k)
+		post[i] = postData[i*k : (i+1)*k : (i+1)*k]
 	}
 	logp := make([]float64, k)
 	prev := math.Inf(-1)
 	for iter := 1; iter <= lcaMaxIter; iter++ {
 		res.Iters = iter
+		for c, rc := range rates {
+			logW[c] = math.Log(weights[c])
+			lr := logRates[c*d : (c+1)*d]
+			for j, r := range rc {
+				lr[j] = math.Log(r)
+			}
+		}
+		clear(wc)
+		clear(num)
 		// E-step in log space.
 		lik := 0.0
 		for i, row := range data {
-			for c := 0; c < k; c++ {
-				lp := math.Log(weights[c])
+			// Reslicing every operand to len(row) lets the compiler drop
+			// the bounds checks of the innermost loop.
+			row = row[:d]
+			lg := lgs[i*d : (i+1)*d][:len(row)]
+			for c, rc := range rates {
+				lp := logW[c]
+				lr := logRates[c*d : (c+1)*d][:len(row)]
+				rc = rc[:len(row)]
 				for j, v := range row {
-					lp += PoissonLogPMF(int(v), rates[c][j])
+					lp += float64(int(v))*lr[j] - rc[j] - lg[j]
 				}
 				logp[c] = lp
 			}
 			lse := logSumExp(logp)
 			lik += lse
-			for c := 0; c < k; c++ {
-				post[i][c] = math.Exp(logp[c] - lse)
+			pi := post[i]
+			for c := range pi {
+				pc := math.Exp(logp[c] - lse)
+				pi[c] = pc
+				wc[c] += pc
+				nc := num[c*d : (c+1)*d]
+				for j, v := range row {
+					nc[j] += pc * v
+				}
 			}
 		}
 		if math.Abs(lik-prev) < lcaTol*(math.Abs(lik)+1) {
@@ -115,19 +161,11 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		res.LogLik = lik
 
 		// M-step.
-		for c := 0; c < k; c++ {
-			wc := 0.0
-			for i := range data {
-				wc += post[i][c]
-			}
-			weights[c] = wc / float64(n)
-			for j := 0; j < d; j++ {
-				num := 0.0
-				for i, row := range data {
-					num += post[i][c] * row[j]
-				}
-				if wc > 0 {
-					rates[c][j] = math.Max(num/wc, lcaRateEps)
+		for c, rc := range rates {
+			weights[c] = wc[c] / float64(n)
+			if wc[c] > 0 {
+				for j := range rc {
+					rc[j] = math.Max(num[c*d+j]/wc[c], lcaRateEps)
 				}
 			}
 		}
@@ -217,11 +255,11 @@ func (m *LCAResult) Classify(row []float64) int {
 
 // TransitionMatrix estimates a latent transition matrix from per-period
 // class assignments: entry (a, b) is P(class b at t+1 | class a at t),
-// estimated from all consecutive-period pairs in the sequences. Sequences
-// map an entity ID to its ordered class assignments; negative class values
+// estimated from all consecutive-period pairs in the sequences. Each
+// sequence is one entity's ordered class assignments; negative class values
 // mark periods where the entity is absent and are skipped (no transition is
 // counted across a gap unless bridgeGaps is true).
-func TransitionMatrix(sequences map[string][]int, k int, bridgeGaps bool) [][]float64 {
+func TransitionMatrix(sequences [][]int, k int, bridgeGaps bool) [][]float64 {
 	counts := make([][]float64, k)
 	for i := range counts {
 		counts[i] = make([]float64, k)

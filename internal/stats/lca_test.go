@@ -103,6 +103,12 @@ func TestLCAErrors(t *testing.T) {
 	if _, err := FitLCA([][]float64{{1}, {2, 3}}, 1, src); err == nil {
 		t.Error("ragged data accepted")
 	}
+	if _, err := FitLCA([][]float64{{1}, {math.NaN()}}, 1, src); err == nil {
+		t.Error("NaN count accepted")
+	}
+	if _, err := FitLCA([][]float64{{1}, {math.Inf(1)}}, 1, src); err == nil {
+		t.Error("infinite count accepted")
+	}
 }
 
 func TestSelectLCAPrefersTrueK(t *testing.T) {
@@ -146,10 +152,10 @@ func TestLCAClassify(t *testing.T) {
 }
 
 func TestTransitionMatrix(t *testing.T) {
-	seqs := map[string][]int{
-		"u1": {0, 0, 1, 1},
-		"u2": {0, 1, 1, 0},
-		"u3": {0, -1, 1}, // gap: 0→1 must NOT be counted without bridging
+	seqs := [][]int{
+		{0, 0, 1, 1},
+		{0, 1, 1, 0},
+		{0, -1, 1}, // gap: 0→1 must NOT be counted without bridging
 	}
 	m := TransitionMatrix(seqs, 2, false)
 	// Transitions: u1: 0→0, 0→1, 1→1; u2: 0→1, 1→1, 1→0. u3 contributes none.

@@ -65,7 +65,8 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 }
 
 // XtWX computes Xᵀ·diag(w)·X, the weighted Gram matrix at the heart of
-// every IRLS iteration. w may be nil for unit weights.
+// every IRLS iteration. w may be nil for unit weights. Each entry sums
+// its row contributions in row order.
 func XtWX(x *Matrix, w []float64) *Matrix {
 	p := x.Cols
 	out := NewMatrix(p, p)
@@ -78,13 +79,18 @@ func XtWX(x *Matrix, w []float64) *Matrix {
 			continue
 		}
 		row := x.Row(i)
-		for a := 0; a < p; a++ {
-			ra := wi * row[a]
+		for a, xa := range row {
+			ra := wi * xa
 			if ra == 0 {
 				continue
 			}
-			for b := a; b < p; b++ {
-				out.Data[a*p+b] += ra * row[b]
+			// The upper triangle of output row a takes ra·row[a:];
+			// equal-length reslices let the compiler drop bounds checks.
+			tail := row[a:]
+			dst := out.Data[a*p+a : a*p+p]
+			dst = dst[:len(tail)]
+			for b, xb := range tail {
+				dst[b] += ra * xb
 			}
 		}
 	}
@@ -110,8 +116,9 @@ func XtWz(x *Matrix, w, z []float64) []float64 {
 			continue
 		}
 		row := x.Row(i)
-		for a := 0; a < p; a++ {
-			out[a] += row[a] * wz
+		row = row[:len(out)]
+		for a, xa := range row {
+			out[a] += xa * wz
 		}
 	}
 	return out

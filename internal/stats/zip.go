@@ -74,7 +74,14 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 		}
 	}
 
-	beta, gamma, lik, iters, converged, err := zipEM(countX, y, zeroX)
+	zd := newZIPData(countX, y, zeroX)
+	// One plain Poisson fit serves as the EM's starting point and as the
+	// Vuong test's alternative.
+	pois, err := poissonFit(countX, y, nil)
+	if err != nil {
+		return nil, fmt.Errorf("stats: ZIP init failed: %w", err)
+	}
+	beta, gamma, lik, iters, converged, err := zd.em(pois.coef)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +99,7 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 	res.BIC = -2*lik + float64(k)*math.Log(float64(n))
 
 	// Standard errors from the observed information (numerical Hessian).
-	se, err := zipStdErrs(countX, y, zeroX, beta, gamma)
+	se, err := zd.stdErrs(beta, gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -104,16 +111,16 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 	for i := 0; i < n; i++ {
 		ones.Set(i, 0, 1)
 	}
-	_, _, nullLik, _, _, err := zipEM(ones, y, ones)
-	if err == nil && nullLik != 0 {
-		res.McFadden = 1 - lik/nullLik
+	null := &zipData{countX: ones, zeroX: ones, y: y, lg: zd.lg}
+	if npois, err := poissonFit(ones, y, nil); err == nil {
+		_, _, nullLik, _, _, err := null.em(npois.coef)
+		if err == nil && nullLik != 0 {
+			res.McFadden = 1 - lik/nullLik
+		}
 	}
 
-	// Vuong test against a plain Poisson regression on the count design.
-	pois, err := PoissonRegression(countX, y, nil)
-	if err == nil {
-		res.Vuong, res.VuongP = vuongZIPvsPoisson(countX, y, zeroX, beta, gamma, pois.Coef)
-	}
+	// Vuong test against the plain Poisson regression on the count design.
+	res.Vuong, res.VuongP = zd.vuong(beta, gamma, pois.coef)
 	return res, nil
 }
 
@@ -134,19 +141,41 @@ func newCoefBlock(names []string, coef, se []float64) *CoefBlock {
 	return b
 }
 
-// zipEM runs the EM loop and returns beta (count), gamma (zero), the final
-// log-likelihood, iterations, and convergence flag.
-func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, lik float64, iters int, converged bool, err error) {
-	n := len(y)
+// zipData is one ZIP model's designs and response, with lgamma(y+1)
+// tabulated per row: a fit evaluates the Poisson PMF of the same counts
+// in every EM iteration and every Hessian probe.
+type zipData struct {
+	countX, zeroX *Matrix
+	y             []float64
+	lg            []float64 // lgammaCount(int(y[i]))
+}
 
-	// Initialise the count model from a plain Poisson fit and the zero
-	// model from the empirical excess-zero share.
-	pois, err := PoissonRegression(countX, y, nil)
-	if err != nil {
-		return nil, nil, 0, 0, false, fmt.Errorf("stats: ZIP init failed: %w", err)
+func newZIPData(countX *Matrix, y []float64, zeroX *Matrix) *zipData {
+	lg := make([]float64, len(y))
+	for i, v := range y {
+		lg[i] = lgammaCount(int(v))
 	}
-	beta = append([]float64(nil), pois.Coef...)
-	gamma = make([]float64, zeroX.Cols)
+	return &zipData{countX: countX, zeroX: zeroX, y: y, lg: lg}
+}
+
+// mu is row i's count mean under beta.
+func (z *zipData) mu(i int, beta []float64) float64 {
+	return math.Exp(clampEta(Dot(z.countX.Row(i), beta)))
+}
+
+// pi is row i's structural-zero probability under gamma.
+func (z *zipData) pi(i int, gamma []float64) float64 {
+	return 1 / (1 + math.Exp(-clampEta(Dot(z.zeroX.Row(i), gamma))))
+}
+
+// em runs the EM loop from the count coefficients beta0 and the empirical
+// excess-zero share, returning the count and zero coefficients, the
+// final log-likelihood, iterations, and convergence flag.
+func (z *zipData) em(beta0 []float64) (beta, gamma []float64, lik float64, iters int, converged bool, err error) {
+	beta = beta0
+	y := z.y
+	n := len(y)
+	gamma = make([]float64, z.zeroX.Cols)
 	zeroShare := 0.0
 	for _, v := range y {
 		if v == 0 {
@@ -164,8 +193,8 @@ func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, l
 		// E-step.
 		lik = 0
 		for i := 0; i < n; i++ {
-			mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
-			pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
+			mu := z.mu(i, beta)
+			pi := z.pi(i, gamma)
 			if y[i] == 0 {
 				pz := pi + (1-pi)*math.Exp(-mu)
 				if pz < 1e-300 {
@@ -175,7 +204,7 @@ func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, l
 				lik += math.Log(pz)
 			} else {
 				r[i] = 0
-				lik += math.Log1p(-pi) + PoissonLogPMF(int(y[i]), mu)
+				lik += math.Log1p(-pi) + poissonLogPMFLg(int(y[i]), mu, z.lg[i])
 			}
 			wCount[i] = 1 - r[i]
 		}
@@ -186,43 +215,49 @@ func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, l
 		prev = lik
 
 		// M-step: weighted Poisson for the count part, fractional-response
-		// logistic for the zero part.
-		pfit, perr := PoissonRegression(countX, y, wCount)
+		// logistic for the zero part. Only their coefficients are used.
+		pfit, perr := poissonFit(z.countX, y, wCount)
 		if perr != nil {
 			return nil, nil, 0, iters, false, fmt.Errorf("stats: ZIP count M-step: %w", perr)
 		}
-		beta = pfit.Coef
-		lfit, lerr := LogisticRegression(zeroX, r, nil)
+		beta = pfit.coef
+		lfit, lerr := logisticFit(z.zeroX, r, nil)
 		if lerr != nil {
 			return nil, nil, 0, iters, false, fmt.Errorf("stats: ZIP zero M-step: %w", lerr)
 		}
-		gamma = lfit.Coef
+		gamma = lfit.coef
 	}
-	lik = zipLogLik(countX, y, zeroX, beta, gamma)
+	lik = z.logLik(beta, gamma)
 	return beta, gamma, lik, iters, converged, nil
 }
 
-func zipLogLik(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float64) float64 {
+// logLik is the ZIP log-likelihood at (beta, gamma).
+func (z *zipData) logLik(beta, gamma []float64) float64 {
 	lik := 0.0
-	for i := range y {
-		mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
-		pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
-		lik += ZIPLogPMF(int(y[i]), pi, mu)
+	for i, v := range z.y {
+		lik += zipLogPMFLg(int(v), z.pi(i, gamma), z.mu(i, beta), z.lg[i])
 	}
 	return lik
 }
 
-// zipStdErrs computes sqrt(diag(inv(-H))) where H is the numerically
+// stdErrs computes sqrt(diag(inv(-H))) where H is the numerically
 // differentiated Hessian of the ZIP log-likelihood at (beta, gamma).
-func zipStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float64) ([]float64, error) {
+func (z *zipData) stdErrs(beta, gamma []float64) ([]float64, error) {
 	p, q := len(beta), len(gamma)
 	k := p + q
 	theta := make([]float64, k)
 	copy(theta, beta)
 	copy(theta[p:], gamma)
 
-	f := func(t []float64) float64 {
-		return zipLogLik(countX, y, zeroX, t[:p], t[p:])
+	f0 := z.logLik(beta, gamma)
+	t := make([]float64, k)
+	// eval is the log-likelihood at theta with da added to coordinate a
+	// and then db to coordinate b.
+	eval := func(a, b int, da, db float64) float64 {
+		copy(t, theta)
+		t[a] += da
+		t[b] += db
+		return z.logLik(t[:p], t[p:])
 	}
 
 	h := NewMatrix(k, k)
@@ -233,7 +268,13 @@ func zipStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float6
 	// Central-difference Hessian.
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
-			v := hessianElem(f, theta, a, b, step)
+			ha, hb := step[a], step[b]
+			var v float64
+			if a == b {
+				v = (eval(a, a, ha, 0) - 2*f0 + eval(a, a, -ha, 0)) / (ha * ha)
+			} else {
+				v = (eval(a, b, ha, hb) - eval(a, b, ha, -hb) - eval(a, b, -ha, hb) + eval(a, b, -ha, -hb)) / (4 * ha * hb)
+			}
 			h.Set(a, b, v)
 			h.Set(b, a, v)
 		}
@@ -254,39 +295,25 @@ func zipStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float6
 	return se, nil
 }
 
-func hessianElem(f func([]float64) float64, x []float64, a, b int, step []float64) float64 {
-	t := make([]float64, len(x))
-	eval := func(da, db float64) float64 {
-		copy(t, x)
-		t[a] += da
-		t[b] += db
-		return f(t)
-	}
-	ha, hb := step[a], step[b]
-	if a == b {
-		return (eval(ha, 0) - 2*f(x) + eval(-ha, 0)) / (ha * ha)
-	}
-	return (eval(ha, hb) - eval(ha, -hb) - eval(-ha, hb) + eval(-ha, -hb)) / (4 * ha * hb)
-}
-
-// vuongZIPvsPoisson computes the Vuong non-nested test statistic comparing
-// the fitted ZIP model against a plain Poisson fit. Positive values favour
-// ZIP; the returned p-value is one-sided.
-func vuongZIPvsPoisson(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma, poisBeta []float64) (z, p float64) {
-	n := len(y)
+// vuong computes the Vuong non-nested test statistic comparing the
+// fitted ZIP model against a plain Poisson fit with coefficients
+// poisBeta. Positive values favour ZIP; the returned p-value is one-sided.
+func (z *zipData) vuong(beta, gamma, poisBeta []float64) (stat, p float64) {
+	n := len(z.y)
 	m := make([]float64, n)
-	for i := range y {
-		mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
-		pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
-		muP := math.Exp(clampEta(Dot(countX.Row(i), poisBeta)))
-		m[i] = ZIPLogPMF(int(y[i]), pi, mu) - PoissonLogPMF(int(y[i]), muP)
+	for i, v := range z.y {
+		mu := z.mu(i, beta)
+		pi := z.pi(i, gamma)
+		muP := z.mu(i, poisBeta)
+		k := int(v)
+		m[i] = zipLogPMFLg(k, pi, mu, z.lg[i]) - poissonLogPMFLg(k, muP, z.lg[i])
 	}
 	mean := Mean(m)
 	sd := StdDev(m)
 	if sd == 0 {
 		return 0, 1
 	}
-	z = math.Sqrt(float64(n)) * mean / sd
-	p = 1 - NormalCDF(z)
-	return z, p
+	stat = math.Sqrt(float64(n)) * mean / sd
+	p = 1 - NormalCDF(stat)
+	return stat, p
 }

@@ -148,7 +148,12 @@ func TestZIPLogLikConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manual := zipLogLik(countX, y, zeroX, res.Count.Coef, res.Zero.Coef)
+	manual := 0.0
+	for i := range y {
+		mu := math.Exp(Dot(countX.Row(i), res.Count.Coef))
+		pi := 1 / (1 + math.Exp(-Dot(zeroX.Row(i), res.Zero.Coef)))
+		manual += ZIPLogPMF(int(y[i]), pi, mu)
+	}
 	if !almostEq(res.LogLik, manual, 1e-9) {
 		t.Errorf("LogLik = %v, manual = %v", res.LogLik, manual)
 	}

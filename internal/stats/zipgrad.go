@@ -31,11 +31,12 @@ func ZIPRegressionGradient(countX *Matrix, y []float64, zeroX *Matrix) (*ZIPGrad
 	n := len(y)
 
 	// Warm start like the EM: Poisson fit + empirical zero share.
-	pois, err := PoissonRegression(countX, y, nil)
+	pois, err := poissonFit(countX, y, nil)
 	if err != nil {
 		return nil, fmt.Errorf("stats: gradient ZIP init: %w", err)
 	}
-	beta := append([]float64(nil), pois.Coef...)
+	beta := pois.coef
+	zd := newZIPData(countX, y, zeroX)
 	gamma := make([]float64, q)
 	zeroShare := 0.0
 	for _, v := range y {
@@ -70,7 +71,7 @@ func ZIPRegressionGradient(countX *Matrix, y []float64, zeroX *Matrix) (*ZIPGrad
 					dg[j] += dpi * pi * (1 - pi) * z
 				}
 			} else {
-				lik += math.Log1p(-pi) + PoissonLogPMF(int(y[i]), mu)
+				lik += math.Log1p(-pi) + poissonLogPMFLg(int(y[i]), mu, zd.lg[i])
 				for j, x := range xi {
 					db[j] += (y[i] - mu) * x
 				}
@@ -100,7 +101,7 @@ func ZIPRegressionGradient(countX *Matrix, y []float64, zeroX *Matrix) (*ZIPGrad
 			for j := range ng {
 				ng[j] = gamma[j] + step*dg[j]/float64(n)
 			}
-			newLik := zipLogLik(countX, y, zeroX, nb, ng)
+			newLik := zd.logLik(nb, ng)
 			if newLik > lik {
 				if newLik-lik < 1e-10*(math.Abs(lik)+1) {
 					beta, gamma, lik = nb, ng, newLik
