@@ -9,7 +9,9 @@ import (
 // added contracts, in that order — incrementally: every derived group is
 // extended in place of being rebuilt, and only the new completed-public
 // obligation text goes through the classifier. nd must be ix.D plus added
-// (ingest.Apply's contract): the group builder's corpus-order scan then
+// (ingest.Apply's contract, whether it applied one batch or several —
+// added is then their contracts in batch order): the group builder's
+// corpus-order scan then
 // makes the result structurally identical to a from-scratch rebuild,
 // which the golden incremental test pins report-byte-for-byte.
 //
@@ -136,10 +138,6 @@ func (ix *Index) Append(nd *dataset.Dataset, added []*forum.Contract) *Index {
 			child.maxCreated = c.Created
 		}
 	}
-
-	// Give nd its columnar projection cheaply too, if ingest.Apply has not
-	// already: parent blocks shared, one new block for the added rows.
-	nd.ExtendColumnsFrom(ix.D, added)
 
 	nix := &Index{D: nd}
 	nix.g.Store(child)

@@ -68,18 +68,25 @@ const (
 
 // BinarySize returns the exact encoded size of the dataset in bytes —
 // the store's byte-accounting unit — without encoding anything. The
-// formula mirrors EncodeBinary field-for-field.
+// formula mirrors EncodeBinary field-for-field: fixed header and section
+// counts, then each block's rows and arena, then the user rows.
 func (d *Dataset) BinarySize() int64 {
-	cols := d.Columns()
-	var arenaLen int64
-	for _, b := range cols.Blocks {
-		arenaLen += int64(len(b.Arena))
+	n := int64(headerLen+4+4) + UsersBinarySize(len(d.Users))
+	for _, b := range d.Columns().Blocks {
+		n += b.BinarySize()
 	}
-	return headerLen +
-		4 + int64(cols.NumRows())*contractRowLen +
-		4 + int64(len(d.Users))*userRowLen +
-		arenaLen
+	return n
 }
+
+// BinarySize returns the bytes the block adds to an encoded dataset: its
+// contract rows plus its string arena. An append grows a stored dataset
+// by exactly this plus UsersBinarySize of the batch's new users.
+func (b *Block) BinarySize() int64 {
+	return int64(b.N)*contractRowLen + int64(len(b.Arena))
+}
+
+// UsersBinarySize returns the encoded size of n user rows.
+func UsersBinarySize(n int) int64 { return int64(n) * userRowLen }
 
 // EncodeBinary writes the dataset in the TUDS binary format. Encoding
 // streams the columnar projection directly — blocks in order, spans
@@ -322,7 +329,7 @@ func DecodeBinary(r io.Reader) (*Dataset, error) {
 	if err := CheckWindow(d.Contracts); err != nil {
 		return nil, err
 	}
-	d.setColumns(&Columns{Blocks: []*Block{b}})
+	d.SetColumns(&Columns{Blocks: []*Block{b}})
 	return d, nil
 }
 

@@ -80,7 +80,7 @@ func TestBinaryMultiBlockRoundTrip(t *testing.T) {
 	c := mkContract(t, child, 50, forum.Sale, 1, 3, time.Date(2020, 5, 2, 0, 0, 0, 0, time.UTC), true, true)
 	c.MakerObligation = "selling $25 amazon giftcard, btc only" // repeats a parent-block string
 	added = append(added, c)
-	child.ExtendColumnsFrom(parent, added)
+	child.SetColumns(&Columns{Blocks: append(parent.Columns().Blocks, BuildBlock(added))})
 
 	if nb := len(child.Columns().Blocks); nb != 2 {
 		t.Fatalf("extended projection has %d blocks, want 2", nb)
@@ -88,6 +88,9 @@ func TestBinaryMultiBlockRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := child.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if int64(buf.Len()) != child.BinarySize() {
+		t.Fatalf("encoded %d bytes, BinarySize says %d", buf.Len(), child.BinarySize())
 	}
 	got, err := DecodeBinary(&buf)
 	if err != nil {

@@ -287,8 +287,8 @@ func (c *Columns) NumRows() int {
 // Columns returns the dataset's columnar projection, building and
 // caching it on first use. The cache is keyed to the contract count:
 // mutating d.Contracts in place invalidates it naturally, while the
-// copy-on-write append path (ExtendColumnsFrom) installs extended
-// projections that stay fresh.
+// copy-on-write append path (ingest.Apply) installs extended projections
+// through SetColumns that stay fresh.
 func (d *Dataset) Columns() *Columns {
 	d.derived.colsMu.Lock()
 	defer d.derived.colsMu.Unlock()
@@ -299,38 +299,14 @@ func (d *Dataset) Columns() *Columns {
 	return d.derived.cols
 }
 
-// setColumns installs a pre-built projection (the decode path).
-func (d *Dataset) setColumns(c *Columns) {
+// SetColumns installs a pre-built projection whose concatenated rows must
+// equal d.Contracts: the decode path's single block, or an appended
+// generation's parent blocks plus one block per applied batch. The block
+// layout decides the TUDS encoding (arenas are per block), so installing
+// it keeps EncodeBinary and BinarySize equal to what the store accounted
+// for each batch.
+func (d *Dataset) SetColumns(c *Columns) {
 	d.derived.colsMu.Lock()
 	d.derived.cols = c
 	d.derived.colsMu.Unlock()
-}
-
-// ExtendColumnsFrom gives d (a copy-on-write extension of parent whose
-// contracts are parent's plus added) a columnar projection that shares
-// every block the parent has already built, appending one new block for
-// the added rows. When the parent has no built projection — or the
-// counts do not line up — it does nothing and d builds lazily on first
-// Columns() call.
-func (d *Dataset) ExtendColumnsFrom(parent *Dataset, added []*forum.Contract) {
-	d.derived.colsMu.Lock()
-	fresh := d.derived.cols != nil && d.derived.cols.NumRows() == len(d.Contracts)
-	d.derived.colsMu.Unlock()
-	if fresh {
-		return // already extended (Apply and Append both call this)
-	}
-	parent.derived.colsMu.Lock()
-	pc := parent.derived.cols
-	parent.derived.colsMu.Unlock()
-	if pc == nil || pc.NumRows() != len(d.Contracts)-len(added) {
-		return
-	}
-	if len(added) == 0 {
-		d.setColumns(pc)
-		return
-	}
-	blocks := make([]*Block, len(pc.Blocks), len(pc.Blocks)+1)
-	copy(blocks, pc.Blocks)
-	blocks = append(blocks, BuildBlock(added))
-	d.setColumns(&Columns{Blocks: blocks})
 }

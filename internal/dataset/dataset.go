@@ -275,6 +275,24 @@ type Stats struct {
 	LedgerTxs                        int
 }
 
+// HasUser reports whether d holds user id.
+func (d *Dataset) HasUser(id forum.UserID) bool {
+	_, ok := d.Users[id]
+	return ok
+}
+
+// MaxContractID returns the largest contract ID in d (zero when empty),
+// found by one scan of the projection's ID columns.
+func (d *Dataset) MaxContractID() forum.ContractID {
+	var m int64
+	for _, b := range d.Columns().Blocks {
+		for _, id := range b.ID {
+			m = max(m, id)
+		}
+	}
+	return forum.ContractID(m)
+}
+
 // Summary computes corpus-level counts.
 func (d *Dataset) Summary() Stats {
 	s := Stats{

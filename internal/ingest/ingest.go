@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"turnup/internal/dataset"
@@ -23,14 +25,34 @@ import (
 
 // Batch is one decoded event batch: zero or more new users followed by
 // zero or more new contracts. Contracts may reference users from the same
-// batch or users already present in the dataset being extended.
+// batch or users already present in the dataset being extended. A batch
+// is immutable once decoded: its columnar block is built once and shared
+// by every generation that includes it.
 type Batch struct {
 	Users     []*forum.User
 	Contracts []*forum.Contract
+
+	blockOnce sync.Once
+	block     *dataset.Block
 }
 
 // Len reports the number of events in the batch.
 func (b *Batch) Len() int { return len(b.Users) + len(b.Contracts) }
+
+// Block returns the batch's contracts as one columnar block, built on the
+// first call: the block an applied generation's projection gains for
+// this batch (see Apply).
+func (b *Batch) Block() *dataset.Block {
+	b.blockOnce.Do(func() { b.block = dataset.BuildBlock(b.Contracts) })
+	return b.block
+}
+
+// BinarySize returns how many bytes applying the batch adds to the
+// extended dataset's BinarySize: its contract block plus its user rows.
+// Exact for a batch that ValidateAgainst accepted (every user is new).
+func (b *Batch) BinarySize() int64 {
+	return b.Block().BinarySize() + dataset.UsersBinarySize(len(b.Users))
+}
 
 // ErrUnsupportedEvents marks an event body whose Content-Type is neither
 // JSON lines nor CSV.
@@ -204,18 +226,33 @@ func DecodeCSV(body io.Reader) (*Batch, error) {
 	return &Batch{Contracts: contracts}, nil
 }
 
-// ValidateAgainst checks the batch against the dataset it would extend:
-// user and contract IDs must be new (and unique within the batch), every
-// contract must reference a known or batch-introduced user, and each
-// contract must satisfy the same invariants Dataset.Validate imposes on a
-// full corpus. The dataset is not modified.
-func (b *Batch) ValidateAgainst(d *dataset.Dataset) error {
+// Generation is what a batch is validated against: the users and the
+// contracts of the corpus it would extend. A *dataset.Dataset is one; a
+// Head — a dataset plus batches accepted on top of it but not yet
+// applied — is the other.
+type Generation interface {
+	HasUser(id forum.UserID) bool
+	// MaxContractID bounds the contract IDs in Columns, so a batch whose
+	// IDs all lie above it needs no scan.
+	MaxContractID() forum.ContractID
+	Columns() *dataset.Columns
+}
+
+// ValidateAgainst checks the batch against the generation it would
+// extend: user and contract IDs must be new (and unique within the
+// batch), every contract must reference a known or batch-introduced user,
+// and each contract must satisfy the same invariants Dataset.Validate
+// imposes on a full corpus. Nothing is modified, and nothing
+// corpus-sized is built: existing contract IDs are found by one scan of
+// the generation's pointer-free ID columns, skipped altogether when every
+// batch ID lies above the generation's largest.
+func (b *Batch) ValidateAgainst(g Generation) error {
 	newUsers := make(map[forum.UserID]bool, len(b.Users))
 	for _, u := range b.Users {
 		if u.ID <= 0 {
 			return fmt.Errorf("ingest: user id %d is not positive", u.ID)
 		}
-		if _, ok := d.Users[u.ID]; ok {
+		if g.HasUser(u.ID) {
 			return fmt.Errorf("ingest: user %d already exists in the dataset", u.ID)
 		}
 		if newUsers[u.ID] {
@@ -223,17 +260,8 @@ func (b *Batch) ValidateAgainst(d *dataset.Dataset) error {
 		}
 		newUsers[u.ID] = true
 	}
-	known := func(id forum.UserID) bool {
-		if newUsers[id] {
-			return true
-		}
-		_, ok := d.Users[id]
-		return ok
-	}
-	existing := make(map[forum.ContractID]bool, len(d.Contracts))
-	for _, c := range d.Contracts {
-		existing[c.ID] = true
-	}
+	known := func(id forum.UserID) bool { return newUsers[id] || g.HasUser(id) }
+	existing := b.existingContracts(g)
 	for _, c := range b.Contracts {
 		if c.ID <= 0 {
 			return fmt.Errorf("ingest: contract id %d is not positive", c.ID)
@@ -267,31 +295,136 @@ func (b *Batch) ValidateAgainst(d *dataset.Dataset) error {
 	return nil
 }
 
-// Apply extends d with the batch copy-on-write and returns the new
-// dataset; d itself is never mutated, so an in-flight analysis holding
-// the previous snapshot keeps reading consistent data. The user map is
-// cloned; the contract slice is extended through a capped append (the
-// parent's backing array can never be written through); threads, posts,
-// and the ledger are shared — events never touch them.
-func Apply(d *dataset.Dataset, b *Batch) *dataset.Dataset {
-	users := make(map[forum.UserID]*forum.User, len(d.Users)+len(b.Users))
+// existingContracts returns the set of the batch's contract IDs that g
+// already holds; its size is bounded by the batch. When some batch ID is
+// not above g's largest, one pass over the blocks' ID columns finds them,
+// and the [lo, hi] range of the batch's IDs rejects almost every row
+// without a map lookup.
+func (b *Batch) existingContracts(g Generation) map[forum.ContractID]bool {
+	existing := make(map[forum.ContractID]bool, len(b.Contracts))
+	if len(b.Contracts) == 0 {
+		return existing
+	}
+	want := make(map[int64]bool, len(b.Contracts))
+	lo, hi := int64(b.Contracts[0].ID), int64(b.Contracts[0].ID)
+	for _, c := range b.Contracts {
+		id := int64(c.ID)
+		want[id] = true
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	if lo > int64(g.MaxContractID()) {
+		return existing
+	}
+	for _, blk := range g.Columns().Blocks {
+		for _, id := range blk.ID {
+			if id >= lo && id <= hi && want[id] {
+				existing[forum.ContractID(id)] = true
+			}
+		}
+	}
+	return existing
+}
+
+// Head is the newest generation of a live dataset whose appends are
+// applied lazily: the last applied corpus plus the batches accepted on
+// top of it since, oldest first. Validating a batch against a Head and
+// pushing it both cost O(batch) — the users the batches introduce are
+// kept in a set, their blocks extend the head projection, and the
+// largest contract ID is carried along — and Apply pays the corpus-sized
+// work once for every pushed batch. A Head is not safe for concurrent
+// use.
+type Head struct {
+	base    *dataset.Dataset
+	batches []*Batch
+	users   map[forum.UserID]bool
+	cols    dataset.Columns
+	maxID   forum.ContractID
+}
+
+// NewHead starts a head at d with no pending batches. It scans d's ID
+// columns once for the largest contract ID.
+func NewHead(d *dataset.Dataset) *Head {
+	return &Head{
+		base:  d,
+		users: map[forum.UserID]bool{},
+		// Clipped so pushed blocks never land in d's own backing array.
+		cols:  dataset.Columns{Blocks: slices.Clip(d.Columns().Blocks)},
+		maxID: d.MaxContractID(),
+	}
+}
+
+// HasUser reports whether the head generation holds user id.
+func (h *Head) HasUser(id forum.UserID) bool { return h.users[id] || h.base.HasUser(id) }
+
+// MaxContractID returns the largest contract ID in the head generation.
+func (h *Head) MaxContractID() forum.ContractID { return h.maxID }
+
+// Columns returns the head generation's projection: the base corpus's
+// blocks plus one block per pushed batch with contracts.
+func (h *Head) Columns() *dataset.Columns { return &h.cols }
+
+// Len reports the number of pushed batches not yet applied.
+func (h *Head) Len() int { return len(h.batches) }
+
+// Push records b, which ValidateAgainst(h) accepted, as the head's next
+// generation.
+func (h *Head) Push(b *Batch) {
+	h.batches = append(h.batches, b)
+	for _, u := range b.Users {
+		h.users[u.ID] = true
+	}
+	if len(b.Contracts) > 0 {
+		h.cols.Blocks = append(h.cols.Blocks, b.Block())
+	}
+	for _, c := range b.Contracts {
+		h.maxID = max(h.maxID, c.ID)
+	}
+}
+
+// Apply returns the head generation's corpus: the base extended by every
+// pushed batch in one Apply call.
+func (h *Head) Apply() *dataset.Dataset { return Apply(h.base, h.batches...) }
+
+// Apply extends d with the batches, oldest first, copy-on-write and
+// returns the new dataset; d itself is never mutated, so an in-flight
+// analysis holding the previous snapshot keeps reading consistent data.
+// The user map is cloned and the contract slice copied once however many
+// batches land; threads, posts, and the ledger are shared — events never
+// touch them. The result's columnar projection shares d's blocks and
+// adds each batch's Block, so its TUDS encoding is the same whether the
+// batches are applied one call at a time or all together.
+func Apply(d *dataset.Dataset, batches ...*Batch) *dataset.Dataset {
+	nUsers, nContracts := len(d.Users), len(d.Contracts)
+	for _, b := range batches {
+		nUsers += len(b.Users)
+		nContracts += len(b.Contracts)
+	}
+	users := make(map[forum.UserID]*forum.User, nUsers)
 	for id, u := range d.Users {
 		users[id] = u
 	}
-	for _, u := range b.Users {
-		users[u.ID] = u
+	contracts := make([]*forum.Contract, len(d.Contracts), nContracts)
+	copy(contracts, d.Contracts)
+	parent := d.Columns().Blocks
+	blocks := make([]*dataset.Block, len(parent), len(parent)+len(batches))
+	copy(blocks, parent)
+	for _, b := range batches {
+		for _, u := range b.Users {
+			users[u.ID] = u
+		}
+		if len(b.Contracts) > 0 {
+			contracts = append(contracts, b.Contracts...)
+			blocks = append(blocks, b.Block())
+		}
 	}
 	nd := &dataset.Dataset{
 		Users:     users,
 		Threads:   d.Threads,
 		Posts:     d.Posts,
-		Contracts: append(d.Contracts[:len(d.Contracts):len(d.Contracts)], b.Contracts...),
+		Contracts: contracts,
 		Ledger:    d.Ledger,
 	}
-	// Extend the columnar projection incrementally too: the parent's blocks
-	// are shared and the batch becomes one new block, instead of the next
-	// Columns() call re-interning the whole corpus.
-	nd.ExtendColumnsFrom(d, b.Contracts)
+	nd.SetColumns(&dataset.Columns{Blocks: blocks})
 	return nd
 }
 

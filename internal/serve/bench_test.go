@@ -14,7 +14,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"turnup"
+	"turnup/internal/forum"
+	"turnup/internal/ingest"
+	"turnup/internal/obs"
 	"turnup/internal/serve"
 )
 
@@ -87,3 +92,63 @@ func BenchmarkServeCold(b *testing.B) {
 		benchGet(b, fmt.Sprintf("%s/v1/report/growth?seed=%d&scale=0.02&models=false", ts.URL, i+1000))
 	}
 }
+
+// liveBatch is the n-th three-event batch of a live stream: two new users
+// and one completed public contract between them, created at. IDs lie
+// above any generated corpus's, so every batch in a stream is valid.
+func liveBatch(n int, at time.Time) *ingest.Batch {
+	maker, taker := forum.UserID(5_000_000+2*n-1), forum.UserID(5_000_000+2*n)
+	return &ingest.Batch{
+		Users: []*forum.User{
+			{ID: maker, Joined: at, FirstPost: at, Posts: 1, MarketplacePosts: 1, Reputation: 1},
+			{ID: taker, Joined: at, FirstPost: at, Posts: 1, MarketplacePosts: 1, Reputation: 1},
+		},
+		Contracts: []*forum.Contract{{
+			ID: forum.ContractID(9_000_000 + n), Type: forum.Exchange, Maker: maker, Taker: taker, Thread: 1,
+			Created: at, Decided: at, Completed: at.Add(30 * time.Minute), Status: forum.StatusCompleted, Public: true,
+			MakerObligation: "btc", TakerObligation: "paypal transfer", MakerRating: 1, TakerRating: 1,
+		}},
+	}
+}
+
+// benchStoreAppend appends b.N in-order three-event batches to a stored
+// corpus of the given scale; with read set, each append is followed by a
+// Snapshot, which derives the new generation's corpus and Index. Batch
+// construction is inside the loop and costs the same at every scale.
+func benchStoreAppend(b *testing.B, read bool) {
+	for _, scale := range []float64{0.02, 0.1} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			d, err := turnup.Generate(turnup.Config{Seed: 1, Scale: scale})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := serve.NewStore(1, 1<<40, obs.NewRegistry())
+			info, _, err := st.Add(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			base := ingest.MaxCreated(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Append(info.ID, liveBatch(i+1, base.Add(time.Duration(i+1)*time.Second))); err != nil {
+					b.Fatal(err)
+				}
+				if read {
+					if _, ok := st.Snapshot(info.ID); !ok {
+						b.Fatal("snapshot of a stored dataset missing")
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreAppend measures back-to-back appends with no read between
+// them: the O(batch) write path. Its ns/op and B/op should not grow with
+// the corpus scale.
+func BenchmarkStoreAppend(b *testing.B) { benchStoreAppend(b, false) }
+
+// BenchmarkStoreAppendThenSnapshot measures an append followed by a read
+// of the new generation, which pays the O(corpus) derivation once.
+func BenchmarkStoreAppendThenSnapshot(b *testing.B) { benchStoreAppend(b, true) }

@@ -59,9 +59,9 @@ func ledgerMarker(d *turnup.Dataset) string {
 // from their content digest, so re-uploading identical bytes is
 // idempotent; least-recently-used datasets are evicted once the store
 // exceeds its count or canonical-byte bounds. All mutations are counted
-// in the registry (serve_datasets_{uploads,deletes,evictions}_total plus
-// the serve_datasets_{count,bytes} gauges) so store behaviour is
-// observable on /metrics.
+// in the registry (serve_datasets_{uploads,deletes,evictions,appends,
+// derivations}_total plus the serve_datasets_{count,bytes} gauges) so
+// store behaviour is observable on /metrics.
 type Store struct {
 	maxCount int
 	maxBytes int64
@@ -75,17 +75,38 @@ type Store struct {
 	byDigest map[string]*list.Element // current digest → order element
 }
 
-// storeEntry is one stored dataset at its current generation: the corpus
-// snapshot plus the shared analysis Index built over it. Both are replaced
-// wholesale by Append (copy-on-write), never mutated, so a Snapshot handed
-// to an in-flight report run stays internally consistent forever. root is
-// the generation-1 content digest, kept addressable so re-uploading the
+// storeEntry is one stored dataset. info describes the head generation,
+// the one the latest append produced. d and ix are the corpus and shared
+// analysis Index of the last generation a read derived; head is d plus
+// the batches appended since, which is what the next append is validated
+// against. The first read of the head generation derives it (see derive).
+// d and ix are replaced, never mutated, so a Snapshot handed to an
+// in-flight report run stays internally consistent forever. root is the
+// generation-1 content digest, kept addressable so re-uploading the
 // original bytes stays idempotent after appends have rolled info.Digest.
 type storeEntry struct {
 	info DatasetInfo
 	root string
 	d    *turnup.Dataset
 	ix   *turnup.Index
+	head *ingest.Head
+}
+
+// derive brings e's corpus and Index up to the head generation: one
+// ingest.Apply and one Index.Append over every pending batch, which is
+// O(corpus) once per read generation however many appends it covers.
+// Both equal a from-scratch rebuild for any mix of batches (the golden
+// incremental contract), so deferring them changes no report byte.
+// Callers hold mu.
+func (s *Store) derive(e *storeEntry) {
+	if e.head.Len() == 0 {
+		return
+	}
+	nd := e.head.Apply()
+	e.ix = e.ix.Append(nd, nd.Contracts[len(e.d.Contracts):])
+	e.d = nd
+	e.head = ingest.NewHead(nd)
+	s.reg.Counter("serve_datasets_derivations_total").Inc()
 }
 
 // Snapshot pins one dataset generation for the length of a report run:
@@ -167,6 +188,7 @@ func (s *Store) Add(d *turnup.Dataset) (info DatasetInfo, created bool, err erro
 		root: digest,
 		d:    d,
 		ix:   turnup.NewIndex(d),
+		head: ingest.NewHead(d),
 	}
 	el := s.order.PushFront(e)
 	s.byID[id] = el
@@ -230,23 +252,12 @@ func (s *Store) Info(id string) (DatasetInfo, bool) {
 	return el.Value.(*storeEntry).info, true
 }
 
-// ByDigest returns the stored dataset with the given content digest — the
-// runner's load path, keyed the same way as the result cache.
-func (s *Store) ByDigest(digest string) (*turnup.Dataset, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byDigest[digest]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*storeEntry).d, true
-}
-
 // Snapshot pins the dataset with the given id at its current generation,
-// refreshing its recency. The returned snapshot is immutable: appends
-// replace the entry's corpus and Index rather than mutating them, so the
-// holder can run a full analysis against it while the store moves on.
+// refreshing its recency. The first snapshot of a generation derives its
+// corpus and Index from the batches appended since the last read. The
+// returned snapshot is immutable: later derivations replace the entry's
+// corpus and Index rather than mutating them, so the holder can run a
+// full analysis against it while the store moves on.
 func (s *Store) Snapshot(id string) (*Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -256,6 +267,7 @@ func (s *Store) Snapshot(id string) (*Snapshot, bool) {
 	}
 	s.order.MoveToFront(el)
 	e := el.Value.(*storeEntry)
+	s.derive(e)
 	return &Snapshot{Info: e.info, D: e.d, Ix: e.ix}, true
 }
 
@@ -268,21 +280,25 @@ var ErrUnknownDataset = errors.New("unknown dataset")
 // oversized upload.
 var ErrStoreFull = errors.New("dataset store byte bound exceeded")
 
-// Append applies a validated event batch to the dataset with the given
-// id, producing its next generation: a copy-on-write corpus extension, an
-// incrementally extended Index (falling back to a full rebuild when the
-// batch is out of creation order), and a rolling content digest
-// H(parentDigest ‖ batch CSV). The previous generation's snapshot remains
-// intact for any in-flight report run. Growth beyond the store's byte
-// bound answers an error naming the bound; the dataset itself is kept at
-// its previous generation.
+// Append records a validated event batch as the next generation of the
+// dataset with the given id, and costs O(batch): it validates the batch
+// against the head generation, takes the byte growth from the batch's
+// columnar block, and rolls the content digest H(parentDigest ‖ batch
+// CSV). The corpus-sized work — the copy-on-write corpus extension and
+// the incremental Index — waits for the generation's first read (see
+// derive), so a run of appends with no read between them pays it once.
+// Snapshots already handed out stay intact. Growth beyond the store's
+// byte bound answers an error naming the bound; the dataset itself is
+// kept at its previous generation.
 func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
-	// Render the batch's canonical CSV outside the lock: the rolling digest
-	// commits to it. (Byte accounting is binary, measured after the apply.)
+	// Render the batch's canonical CSV and build its block outside the
+	// lock: the rolling digest commits to the CSV, and the block is both
+	// the bytes the append adds and what the derived projection gains.
 	var contractsCSV, usersCSV bytes.Buffer
 	if err := writeBatchCSV(&contractsCSV, &usersCSV, b); err != nil {
 		return DatasetInfo{}, err
 	}
+	grow := b.BinarySize()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,15 +307,12 @@ func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
 		return DatasetInfo{}, fmt.Errorf("%w %q", ErrUnknownDataset, id)
 	}
 	e := el.Value.(*storeEntry)
-	if err := b.ValidateAgainst(e.d); err != nil {
+	if err := b.ValidateAgainst(e.head); err != nil {
 		return DatasetInfo{}, err
 	}
-
-	nd := ingest.Apply(e.d, b)
-	// Growth is the binary-size delta of the extended corpus — the same
-	// accounting Add uses. Over the bound, the dataset keeps its previous
-	// generation (nd is simply discarded).
-	grow := nd.BinarySize() - e.info.Bytes
+	// Growth is the binary-size delta — the same accounting Add uses, so
+	// info.Bytes equals the head generation's BinarySize before it is
+	// ever derived. Over the bound, the batch is simply not recorded.
 	if s.bytes+grow > s.maxBytes {
 		return DatasetInfo{}, fmt.Errorf("%w: append of %d binary bytes exceeds the bound of %d", ErrStoreFull, grow, s.maxBytes)
 	}
@@ -309,18 +322,6 @@ func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
 	h.Write(usersCSV.Bytes())
 	digest := hex.EncodeToString(h.Sum(nil))
 
-	ne := &storeEntry{
-		info: e.info,
-		root: e.root,
-		d:    nd,
-		ix:   e.ix.Append(nd, b.Contracts),
-	}
-	ne.info.Digest = digest
-	ne.info.Users = len(nd.Users)
-	ne.info.Contracts = len(nd.Contracts)
-	ne.info.Bytes = e.info.Bytes + grow
-	ne.info.Generation = e.info.Generation + 1
-
 	// The root digest stays addressable so re-uploading the original
 	// bytes dedupes to this (now-later-generation) entry instead of
 	// colliding on the id.
@@ -328,13 +329,18 @@ func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
 		delete(s.byDigest, e.info.Digest)
 	}
 	s.byDigest[digest] = el
-	el.Value = ne
+	e.head.Push(b)
+	e.info.Digest = digest
+	e.info.Users += len(b.Users)
+	e.info.Contracts += len(b.Contracts)
+	e.info.Bytes += grow
+	e.info.Generation++
 	s.order.MoveToFront(el)
 	s.bytes += grow
 	s.reg.Counter("serve_datasets_appends_total").Inc()
 	s.reg.Counter("serve_events_applied_total").Add(int64(b.Len()))
 	s.gauges()
-	return ne.info, nil
+	return e.info, nil
 }
 
 // writeBatchCSV renders the batch in the canonical hfgen CSV forms — the
