@@ -77,8 +77,7 @@ func main() {
 	log.SetPrefix("hfserved: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 64, "completed results retained in the LRU (count bound, secondary to -max-cache-bytes)")
-	maxCacheBytes := flag.Int64("max-cache-bytes", 1<<30, "result cache byte budget; entries are sized at admission and evicted by bytes")
-	cacheEntryFrac := flag.Float64("cache-entry-frac", 0.25, "admission bound: results larger than this fraction of -max-cache-bytes are served but never cached")
+	maxCacheBytes := flag.Int64("max-cache-bytes", 1<<30, "result cache byte budget; entries are sized at admission and evicted by bytes, and results over a quarter of it are never cached")
 	renderCacheBytes := flag.Int64("render-cache-bytes", 64<<20, "rendered-section cache byte budget (0 = default, negative disables the tier)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "max age a cached result is served (0 = no age bound; generation keying still invalidates on append)")
 	maxRuns := flag.Int("max-runs", 2, "concurrent pipeline runs (cache hits bypass this cap)")
@@ -126,7 +125,6 @@ func main() {
 		Shard:            *shard,
 		CacheSize:        *cache,
 		MaxCacheBytes:    *maxCacheBytes,
-		CacheEntryFrac:   *cacheEntryFrac,
 		RenderCacheBytes: *renderCacheBytes,
 		CacheTTL:         *cacheTTL,
 		MaxRuns:          *maxRuns,

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"mime/multipart"
 	"net/http"
@@ -115,7 +116,7 @@ type Config struct {
 
 	Client   *http.Client  // default: 30s-timeout client
 	Registry *obs.Registry // receives load_request_seconds histograms (fresh when nil)
-	Logger   *obs.Logger   // optional run progress (nil = silent)
+	Logger   *slog.Logger  // optional run progress (nil = silent)
 }
 
 // Latency summarises one latency distribution in milliseconds.
@@ -295,9 +296,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	cfg.Logger.Log("load_start",
-		obs.F("target", cfg.BaseURL), obs.F("rps", cfg.RPS),
-		obs.F("duration", cfg.Duration), obs.F("workers", cfg.Workers))
+	if cfg.Logger != nil {
+		cfg.Logger.Info("load_start",
+			"target", cfg.BaseURL, "rps", cfg.RPS, "duration", cfg.Duration, "workers", cfg.Workers)
+	}
 
 	// One dispatcher paces tokens at the target RPS and draws the kind
 	// sequence; workers race only for tokens, never for the RNG.
@@ -340,14 +342,15 @@ dispatch:
 	elapsed := time.Since(start)
 
 	rep := r.report(elapsed)
-	if sm, err := SampleServerMetrics(ctx, cfg.Client, cfg.BaseURL); err == nil {
-		rep.ServerMetrics = sm
-	} else {
-		cfg.Logger.Log("load_metrics_sample_failed", obs.F("err", err.Error()))
+	sm, err := SampleServerMetrics(ctx, cfg.Client, cfg.BaseURL)
+	rep.ServerMetrics = sm
+	if cfg.Logger != nil {
+		if err != nil {
+			cfg.Logger.Info("load_metrics_sample_failed", "err", err.Error())
+		}
+		cfg.Logger.Info("load_done", "requests", rep.Requests, "errors", rep.Errors,
+			"achieved_rps", rep.AchievedRPS, "p99_ms", rep.OverallMS.P99)
 	}
-	cfg.Logger.Log("load_done",
-		obs.F("requests", rep.Requests), obs.F("errors", rep.Errors),
-		obs.F("achieved_rps", rep.AchievedRPS), obs.F("p99_ms", rep.OverallMS.P99))
 	if ctx.Err() != nil {
 		return rep, ctx.Err()
 	}

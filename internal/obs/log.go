@@ -1,127 +1,44 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
+	"log/slog"
 )
 
-// Field is one key/value pair on a structured log line.
-type Field struct {
-	Key   string
-	Value any
-}
-
-// F builds a Field — the call-site shorthand the access log uses:
-//
-//	logger.Log("request", obs.F("method", "GET"), obs.F("status", 200))
-func F(key string, value any) Field { return Field{Key: key, Value: value} }
-
-// Logger writes structured log lines in either logfmt-style key=value text
-// or one JSON object per line. It is the obs-layer logging facility: like
-// every other type in this package it is nil-safe (Log on a nil *Logger is
-// a no-op, so callers thread it unconditionally) and concurrency-safe (one
-// mutex serialises lines, so concurrent requests never interleave bytes).
-type Logger struct {
-	mu   sync.Mutex
-	w    io.Writer
-	json bool
-	now  func() time.Time // test hook; nil means time.Now
-}
-
-// NewTextLogger returns a Logger emitting key=value lines to w.
-func NewTextLogger(w io.Writer) *Logger { return &Logger{w: w} }
-
-// NewJSONLogger returns a Logger emitting one JSON object per line to w.
-func NewJSONLogger(w io.Writer) *Logger { return &Logger{w: w, json: true} }
-
-// NewLogger builds a Logger for format "text" or "json" ("none" and ""
-// return nil, on which Log is a no-op — the -log-format flag contract).
-func NewLogger(w io.Writer, format string) (*Logger, error) {
+// NewLogger builds the structured logger behind the -log-format flag:
+// logfmt-style key=value lines for "text", one JSON object per line for
+// "json". Every line leads with a UTC time and the event name (slog's
+// message, renamed "event"), then the attributes in call order; slog's
+// level key is dropped, since every line is Info. "none" and "" return a
+// nil logger, and callers skip logging when theirs is nil.
+func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{ReplaceAttr: eventAttrs}
 	switch format {
 	case "text":
-		return NewTextLogger(w), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return NewJSONLogger(w), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	case "none", "":
 		return nil, nil
 	}
 	return nil, fmt.Errorf("obs: unknown log format %q (want text, json, or none)", format)
 }
 
-// Log writes one line: a UTC RFC3339 timestamp, the event name, and the
-// fields in the order given.
-func (l *Logger) Log(event string, fields ...Field) {
-	if l == nil {
-		return
+// eventAttrs rewrites slog's built-in keys into the line shape above.
+func eventAttrs(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	nowf := l.now
-	if nowf == nil {
-		nowf = time.Now
-	}
-	ts := nowf().UTC().Format(time.RFC3339Nano)
-
-	var b strings.Builder
-	if l.json {
-		b.WriteString(`{"time":`)
-		b.WriteString(jsonValue(ts))
-		b.WriteString(`,"event":`)
-		b.WriteString(jsonValue(event))
-		for _, f := range fields {
-			b.WriteByte(',')
-			b.WriteString(jsonValue(f.Key))
-			b.WriteByte(':')
-			b.WriteString(jsonValue(f.Value))
+	switch a.Key {
+	case slog.LevelKey:
+		return slog.Attr{}
+	case slog.MessageKey:
+		a.Key = "event"
+	case slog.TimeKey:
+		if a.Value.Kind() == slog.KindTime {
+			a.Value = slog.TimeValue(a.Value.Time().UTC())
 		}
-		b.WriteString("}\n")
-	} else {
-		b.WriteString("time=")
-		b.WriteString(ts)
-		b.WriteString(" event=")
-		b.WriteString(textValue(event))
-		for _, f := range fields {
-			b.WriteByte(' ')
-			b.WriteString(f.Key)
-			b.WriteByte('=')
-			b.WriteString(textValue(f.Value))
-		}
-		b.WriteByte('\n')
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = io.WriteString(l.w, b.String())
-}
-
-// jsonValue marshals v for the JSON line; marshal failures degrade to the
-// quoted fmt rendering rather than dropping the field.
-func jsonValue(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return string(b)
-}
-
-// textValue renders v for a key=value line, quoting strings that would
-// break tokenisation (spaces, quotes, equals, empties).
-func textValue(v any) string {
-	var s string
-	switch t := v.(type) {
-	case string:
-		s = t
-	case time.Duration:
-		s = t.String()
-	case float64:
-		s = strconv.FormatFloat(t, 'g', -1, 64)
-	default:
-		s = fmt.Sprint(v)
-	}
-	if s == "" || strings.ContainsAny(s, " \"=\n\t") {
-		return strconv.Quote(s)
-	}
-	return s
+	return a
 }

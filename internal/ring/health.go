@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -18,7 +19,7 @@ type HealthOptions struct {
 	FailAfter int           // consecutive failures before ejection (default 2)
 	Client    *http.Client  // probe client (default: fresh client with Timeout)
 	Metrics   *obs.Registry // router_shard_healthy gauges + ejection counters (nil = none-safe fresh registry)
-	Log       *obs.Logger   // ejection/readmission events (nil-safe)
+	Log       *slog.Logger  // ejection/readmission events (nil = none)
 }
 
 // HealthChecker drives ring membership from GET /healthz probes: a shard
@@ -122,7 +123,9 @@ func (h *HealthChecker) apply(shard string, err error) {
 		if h.ring.SetHealthy(shard, true) {
 			h.reg.Counter("router_shard_readmissions_total").Inc()
 			h.gauge(shard, true)
-			h.opts.Log.Log("shard_readmitted", obs.F("shard", shard))
+			if h.opts.Log != nil {
+				h.opts.Log.Info("shard_readmitted", "shard", shard)
+			}
 		}
 		return
 	}
@@ -130,8 +133,9 @@ func (h *HealthChecker) apply(shard string, err error) {
 	if h.fails[shard] >= h.opts.FailAfter && h.ring.SetHealthy(shard, false) {
 		h.reg.Counter("router_shard_ejections_total").Inc()
 		h.gauge(shard, false)
-		h.opts.Log.Log("shard_ejected",
-			obs.F("shard", shard), obs.F("fails", h.fails[shard]), obs.F("err", err.Error()))
+		if h.opts.Log != nil {
+			h.opts.Log.Info("shard_ejected", "shard", shard, "fails", h.fails[shard], "err", err.Error())
+		}
 	}
 }
 

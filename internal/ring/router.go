@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -55,7 +56,7 @@ type RouterOptions struct {
 
 	Client    *http.Client  // forwarding client (default: 120s timeout)
 	Metrics   *obs.Registry // router_* metrics; fresh when nil
-	AccessLog *obs.Logger   // one line per routed request (nil-safe)
+	AccessLog *slog.Logger  // one line per routed request (nil = none)
 }
 
 // Router is the consistent-hash routing tier: an http.Handler that owns
@@ -176,17 +177,19 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if rw.code >= 400 {
 		rt.reg.Counter("router_http_errors_total").Inc()
 	}
-	rt.opts.AccessLog.Log("route",
-		obs.F("id", id),
-		obs.F("method", r.Method),
-		obs.F("route", route),
-		obs.F("path", r.URL.Path),
-		obs.F("status", rw.code),
-		obs.F("bytes", rw.bytes),
-		obs.F("dur_ms", float64(dur)/float64(time.Millisecond)),
-		obs.F("shard", rw.Header().Get("X-Shard")),
-		obs.F("hedged", rw.Header().Get("X-Hedged") != ""),
-	)
+	if rt.opts.AccessLog != nil {
+		rt.opts.AccessLog.LogAttrs(r.Context(), slog.LevelInfo, "route",
+			slog.String("id", id),
+			slog.String("method", r.Method),
+			slog.String("route", route),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rw.code),
+			slog.Int64("bytes", rw.bytes),
+			slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
+			slog.String("shard", rw.Header().Get("X-Shard")),
+			slog.Bool("hedged", rw.Header().Get("X-Hedged") != ""),
+		)
+	}
 }
 
 // requestWithID stamps id into the forwarded header set and the context,

@@ -45,8 +45,12 @@ func accessServer(t *testing.T) (*httptest.Server, *logBuffer) {
 	t.Helper()
 	res := tinyResults(t)
 	buf := &logBuffer{}
+	accessLog, err := obs.NewLogger(buf, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := serve.New(serve.Options{
-		AccessLog: obs.NewJSONLogger(buf),
+		AccessLog: accessLog,
 		Metrics:   obs.NewRegistry(),
 		Runner: func(ctx context.Context, p serve.Params, _ *serve.Snapshot) (*turnup.Results, error) {
 			return res, nil

@@ -8,7 +8,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -135,7 +134,7 @@ type RunFunc func(ctx context.Context, p Params, snap *Snapshot) (*turnup.Result
 // evicts by bytes) and an entry-count cap (a secondary bound against
 // pathological many-tiny-results keyspaces). An admission policy keeps a
 // single giant result from flushing the whole working set: results larger
-// than MaxEntryFrac of the budget are returned to their waiters but never
+// than a quarter of the budget are returned to their waiters but never
 // cached. All outcomes are counted in the registry
 // (serve_cache_{hits,misses,coalesced,rejected}_total,
 // serve_cache_evictions_total, and the serve_cache_bytes/serve_cache_entries
@@ -145,30 +144,23 @@ type Cache struct {
 	runner   RunFunc
 	base     context.Context // run lifetime: cancelling it aborts in-flight runs
 	sem      chan struct{}   // caps concurrent pipeline runs
-	cap      int             // completed results retained (count bound)
-	maxBytes int64           // byte budget over retained results
 	maxEntry int64           // admission bound: larger results are never cached
 	ttl      time.Duration   // max age a completed result is served (0 = forever)
 	sizer    func(*turnup.Results) int64
 	reg      *obs.Registry
 
 	mu       sync.Mutex
-	bytes    int64                    // sum of retained entry sizes; mirrors serve_cache_bytes
-	order    *list.List               // completed *cacheEntry, front = most recent
-	byKey    map[string]*list.Element // Params.Key → order element
-	inflight map[string]*flight       // Params.Key → running flight
+	lru      *lru[string, *cacheEntry] // Params.Key → completed result, sized at admission
+	inflight map[string]*flight        // Params.Key → running flight
 }
 
 // cacheEntry is one completed result in the LRU. The canonical Params are
 // retained so EvictWhere can match entries semantically (by dataset id or
-// generation) without reversing the hashed key; size is the admission-time
-// estimate the byte accounting credits back on eviction.
+// generation) without reversing the hashed key.
 type cacheEntry struct {
-	key  string
-	p    Params
-	res  *turnup.Results
-	size int64
-	at   time.Time // completion time, the TTL anchor
+	p   Params
+	res *turnup.Results
+	at  time.Time // completion time, the TTL anchor
 }
 
 // flight is one in-progress run; every coalesced waiter blocks on done,
@@ -187,13 +179,10 @@ type CacheConfig struct {
 	// bookkeeping without bound.
 	Capacity int
 	// MaxBytes is the byte budget over retained results (<=0 means 1 GiB).
-	// The sum of admitted entry sizes never exceeds it.
+	// The sum of admitted entry sizes never exceeds it, and a result
+	// estimated larger than MaxBytes/4 is served to its waiters but never
+	// cached, so one giant result cannot flush the working set.
 	MaxBytes int64
-	// MaxEntryFrac is the admission bound as a fraction of MaxBytes: a
-	// result estimated larger than MaxEntryFrac*MaxBytes is served to its
-	// waiters but never cached, so one giant result cannot flush the
-	// working set. <=0 means 0.25; values >1 clamp to 1.
-	MaxEntryFrac float64
 	// MaxRuns caps concurrent pipeline runs (<=0 means 2).
 	MaxRuns int
 	// TTL bounds how long a completed result is served before it is re-run
@@ -218,12 +207,6 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 1 << 30
-	}
-	if cfg.MaxEntryFrac <= 0 {
-		cfg.MaxEntryFrac = 0.25
-	}
-	if cfg.MaxEntryFrac > 1 {
-		cfg.MaxEntryFrac = 1
 	}
 	if cfg.MaxRuns <= 0 {
 		cfg.MaxRuns = 2
@@ -250,14 +233,11 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 		runner:   runner,
 		base:     base,
 		sem:      make(chan struct{}, cfg.MaxRuns),
-		cap:      cfg.Capacity,
-		maxBytes: cfg.MaxBytes,
-		maxEntry: int64(cfg.MaxEntryFrac * float64(cfg.MaxBytes)),
+		maxEntry: cfg.MaxBytes / 4,
 		ttl:      cfg.TTL,
 		sizer:    sizer,
 		reg:      reg,
-		order:    list.New(),
-		byKey:    make(map[string]*list.Element),
+		lru:      newLRU[string, *cacheEntry](cfg.Capacity, cfg.MaxBytes),
 		inflight: make(map[string]*flight),
 	}
 	c.syncGauges()
@@ -267,17 +247,8 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 // syncGauges mirrors the byte and entry accounting into the registry;
 // callers hold mu, so the gauge always reflects a consistent state.
 func (c *Cache) syncGauges() {
-	c.reg.Gauge("serve_cache_bytes").Set(float64(c.bytes))
-	c.reg.Gauge("serve_cache_entries").Set(float64(c.order.Len()))
-}
-
-// removeLocked drops el from the LRU and credits its bytes back. Callers
-// hold mu and count the reason (eviction, expiration, invalidation).
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	delete(c.byKey, e.key)
-	c.order.Remove(el)
-	c.bytes -= e.size
+	c.reg.Gauge("serve_cache_bytes").Set(float64(c.lru.bytes()))
+	c.reg.Gauge("serve_cache_entries").Set(float64(c.lru.len()))
 }
 
 // Get returns the results for p: from the LRU when present (and younger
@@ -295,19 +266,16 @@ func (c *Cache) Get(ctx context.Context, p Params, snap *Snapshot) (*turnup.Resu
 	key := p.Key()
 
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
+	if e, ok := c.lru.get(key); ok {
 		if c.ttl > 0 && time.Since(e.at) > c.ttl {
 			// Expired: drop the entry and fall through to a fresh run.
-			c.removeLocked(el)
+			c.lru.remove(key)
 			c.syncGauges()
 			c.reg.Counter("serve_cache_expirations_total").Inc()
 		} else {
-			c.order.MoveToFront(el)
-			res := e.res
 			c.mu.Unlock()
 			c.reg.Counter("serve_cache_hits_total").Inc()
-			return res, StatusHit, nil
+			return e.res, StatusHit, nil
 		}
 	}
 	if f, ok := c.inflight[key]; ok {
@@ -382,17 +350,13 @@ func (c *Cache) finish(key string, p Params, f *flight, res *turnup.Results, err
 	switch {
 	case err != nil:
 	case size > c.maxEntry:
-		// Admission policy: a single result that would occupy more than
-		// MaxEntryFrac of the budget is not worth the working set it would
+		// Admission policy: a single result that would occupy more than a
+		// quarter of the budget is not worth the working set it would
 		// evict. Waiters still get the result; it is just never retained.
 		c.reg.Counter("serve_cache_rejected_total").Inc()
 	default:
-		c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, p: p, res: res, size: size, at: time.Now()})
-		c.bytes += size
-		for c.order.Len() > c.cap || c.bytes > c.maxBytes {
-			c.removeLocked(c.order.Back())
-			c.reg.Counter("serve_cache_evictions_total").Inc()
-		}
+		evicted := c.lru.add(key, &cacheEntry{p: p, res: res, at: time.Now()}, size)
+		c.reg.Counter("serve_cache_evictions_total").Add(int64(len(evicted)))
 		c.syncGauges()
 	}
 	c.mu.Unlock()
@@ -410,15 +374,7 @@ func (c *Cache) finish(key string, p Params, f *flight, res *turnup.Results, err
 func (c *Cache) EvictWhere(pred func(Params) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if pred(el.Value.(*cacheEntry).p) {
-			c.removeLocked(el)
-			n++
-		}
-		el = next
-	}
+	n := c.lru.removeWhere(func(e *cacheEntry) bool { return pred(e.p) })
 	if n > 0 {
 		c.syncGauges()
 		c.reg.Counter("serve_cache_invalidations_total").Add(int64(n))
@@ -430,7 +386,7 @@ func (c *Cache) EvictWhere(pred func(Params) bool) int {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.len()
 }
 
 // Bytes reports the byte accounting over retained results — the value the
@@ -438,7 +394,7 @@ func (c *Cache) Len() int {
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
+	return c.lru.bytes()
 }
 
 // EntryInfo describes one retained result for introspection: the hashed
@@ -455,10 +411,9 @@ type EntryInfo struct {
 func (c *Cache) Entries() []EntryInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]EntryInfo, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, EntryInfo{Key: e.key, Bytes: e.size, Params: e.p})
-	}
+	out := make([]EntryInfo, 0, c.lru.len())
+	c.lru.each(func(key string, e *cacheEntry, size int64) {
+		out = append(out, EntryInfo{Key: key, Bytes: size, Params: e.p})
+	})
 	return out
 }

@@ -95,14 +95,14 @@ func TestCacheByteAccountingInvariant(t *testing.T) {
 }
 
 // TestCacheAdmissionRejectsGiantResults pins the admission policy: a
-// result sized over MaxEntryFrac×MaxBytes is served to its waiters but
+// result sized over a quarter of MaxBytes is served to its waiters but
 // never retained, leaving the accounting untouched.
 func TestCacheAdmissionRejectsGiantResults(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := serve.NewCache(context.Background(), func(ctx context.Context, p serve.Params, _ *serve.Snapshot) (*turnup.Results, error) {
 		return &turnup.Results{}, nil
 	}, serve.CacheConfig{
-		MaxBytes: 1000, // default frac 0.25 → 250-byte admission bound
+		MaxBytes: 1000, // 250-byte admission bound
 		Sizer:    func(*turnup.Results) int64 { return 500 },
 	}, reg)
 
@@ -129,19 +129,18 @@ func TestCacheEvictsByBytes(t *testing.T) {
 	c := serve.NewCache(context.Background(), func(ctx context.Context, p serve.Params, _ *serve.Snapshot) (*turnup.Results, error) {
 		return &turnup.Results{}, nil
 	}, serve.CacheConfig{
-		Capacity:     100,
-		MaxBytes:     1000,
-		MaxEntryFrac: 0.5, // admit the 300-byte entries
-		Sizer:        func(*turnup.Results) int64 { return 300 },
+		Capacity: 100,
+		MaxBytes: 1000,
+		Sizer:    func(*turnup.Results) int64 { return 250 }, // at the 250-byte admission bound
 	}, reg)
 
-	for seed := uint64(1); seed <= 4; seed++ {
+	for seed := uint64(1); seed <= 5; seed++ {
 		if _, _, err := c.Get(context.Background(), serve.Params{Seed: seed}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 3 || c.Bytes() != 900 {
-		t.Fatalf("after 4 admissions at 300B/1000B: len=%d bytes=%d, want 3 entries / 900 bytes", c.Len(), c.Bytes())
+	if c.Len() != 4 || c.Bytes() != 1000 {
+		t.Fatalf("after 5 admissions at 250B/1000B: len=%d bytes=%d, want 4 entries / 1000 bytes", c.Len(), c.Bytes())
 	}
 	if got := reg.Counter("serve_cache_evictions_total").Value(); got != 1 {
 		t.Fatalf("serve_cache_evictions_total=%d, want 1", got)
@@ -151,8 +150,8 @@ func TestCacheEvictsByBytes(t *testing.T) {
 		t.Fatalf("oldest seed = %s, want miss after byte eviction", status)
 	}
 	// Invalidation credits everything back.
-	if n := c.EvictWhere(func(serve.Params) bool { return true }); n != 3 {
-		t.Fatalf("EvictWhere dropped %d, want 3", n)
+	if n := c.EvictWhere(func(serve.Params) bool { return true }); n != 4 {
+		t.Fatalf("EvictWhere dropped %d, want 4", n)
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatalf("after full invalidation: len=%d bytes=%d", c.Len(), c.Bytes())

@@ -3,7 +3,6 @@ package serve
 import (
 	"archive/zip"
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -63,16 +62,12 @@ func ledgerMarker(d *turnup.Dataset) string {
 // derivations}_total plus the serve_datasets_{count,bytes} gauges) so
 // store behaviour is observable on /metrics.
 type Store struct {
-	maxCount int
-	maxBytes int64
-	reg      *obs.Registry
-	onDrop   func(id string) // fired (outside mu) when an id leaves the store
+	reg    *obs.Registry
+	onDrop func(id string) // fired (outside mu) when an id leaves the store
 
 	mu       sync.Mutex
-	bytes    int64
-	order    *list.List               // *storeEntry, front = most recently used
-	byID     map[string]*list.Element // DatasetInfo.ID → order element
-	byDigest map[string]*list.Element // current digest → order element
+	lru      *lru[string, *storeEntry] // DatasetInfo.ID → entry, sized by info.Bytes
+	byDigest map[string]*storeEntry    // root and head digests → entry
 }
 
 // storeEntry is one stored dataset. info describes the head generation,
@@ -137,12 +132,9 @@ func NewStore(maxCount int, maxBytes int64, reg *obs.Registry) *Store {
 		maxBytes = 256 << 20
 	}
 	return &Store{
-		maxCount: maxCount,
-		maxBytes: maxBytes,
 		reg:      reg,
-		order:    list.New(),
-		byID:     make(map[string]*list.Element),
-		byDigest: make(map[string]*list.Element),
+		lru:      newLRU[string, *storeEntry](maxCount, maxBytes),
+		byDigest: make(map[string]*storeEntry),
 	}
 }
 
@@ -157,19 +149,19 @@ func (s *Store) Add(d *turnup.Dataset) (info DatasetInfo, created bool, err erro
 	// actually occupies and replicates in.
 	digest, _ := d.Digest()
 	n := d.BinarySize()
-	if n > s.maxBytes {
-		return DatasetInfo{}, false, fmt.Errorf("dataset of %d binary bytes exceeds the store bound of %d", n, s.maxBytes)
+	if n > s.lru.maxBytes {
+		return DatasetInfo{}, false, fmt.Errorf("dataset of %d binary bytes exceeds the store bound of %d", n, s.lru.maxBytes)
 	}
 	var dropped []string
 	defer func() { s.fireDrops(dropped) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byDigest[digest]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*storeEntry).info, false, nil
+	if e, ok := s.byDigest[digest]; ok {
+		s.lru.get(e.info.ID)
+		return e.info, false, nil
 	}
 	id := DatasetID(digest)
-	if _, ok := s.byID[id]; ok {
+	if _, ok := s.lru.peek(id); ok {
 		// Distinct digests sharing a 64-bit id prefix — astronomically
 		// unlikely, but refuse rather than alias.
 		return DatasetInfo{}, false, fmt.Errorf("dataset id %s collides with a stored dataset of different content", id)
@@ -190,33 +182,21 @@ func (s *Store) Add(d *turnup.Dataset) (info DatasetInfo, created bool, err erro
 		ix:   turnup.NewIndex(d),
 		head: ingest.NewHead(d),
 	}
-	el := s.order.PushFront(e)
-	s.byID[id] = el
-	s.byDigest[digest] = el
-	s.bytes += n
+	s.byDigest[digest] = e
 	s.reg.Counter("serve_datasets_uploads_total").Inc()
-	for s.order.Len() > s.maxCount || s.bytes > s.maxBytes {
-		dropped = append(dropped, s.evictBack())
+	for _, old := range s.lru.add(id, e, n) {
+		s.forget(old)
+		dropped = append(dropped, old.info.ID)
 		s.reg.Counter("serve_datasets_evictions_total").Inc()
 	}
 	s.gauges()
 	return e.info, true, nil
 }
 
-// evictBack drops the least-recently-used dataset and returns its id;
-// callers hold mu.
-func (s *Store) evictBack() string {
-	back := s.order.Back()
-	if back == nil {
-		return ""
-	}
-	e := back.Value.(*storeEntry)
-	delete(s.byID, e.info.ID)
+// forget drops a departed entry's root and head digests; callers hold mu.
+func (s *Store) forget(e *storeEntry) {
 	delete(s.byDigest, e.info.Digest)
 	delete(s.byDigest, e.root)
-	s.bytes -= e.info.Bytes
-	s.order.Remove(back)
-	return e.info.ID
 }
 
 // fireDrops invokes the drop callback for each departed id. Callers must
@@ -227,16 +207,14 @@ func (s *Store) fireDrops(ids []string) {
 		return
 	}
 	for _, id := range ids {
-		if id != "" {
-			s.onDrop(id)
-		}
+		s.onDrop(id)
 	}
 }
 
 // gauges refreshes the count/byte gauges; callers hold mu.
 func (s *Store) gauges() {
-	s.reg.Gauge("serve_datasets_count").Set(float64(s.order.Len()))
-	s.reg.Gauge("serve_datasets_bytes").Set(float64(s.bytes))
+	s.reg.Gauge("serve_datasets_count").Set(float64(s.lru.len()))
+	s.reg.Gauge("serve_datasets_bytes").Set(float64(s.lru.bytes()))
 }
 
 // Info returns the listing entry for id, refreshing its recency — request
@@ -244,12 +222,11 @@ func (s *Store) gauges() {
 func (s *Store) Info(id string) (DatasetInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.byID[id]
+	e, ok := s.lru.get(id)
 	if !ok {
 		return DatasetInfo{}, false
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*storeEntry).info, true
+	return e.info, true
 }
 
 // Snapshot pins the dataset with the given id at its current generation,
@@ -261,12 +238,10 @@ func (s *Store) Info(id string) (DatasetInfo, bool) {
 func (s *Store) Snapshot(id string) (*Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.byID[id]
+	e, ok := s.lru.get(id)
 	if !ok {
 		return nil, false
 	}
-	s.order.MoveToFront(el)
-	e := el.Value.(*storeEntry)
 	s.derive(e)
 	return &Snapshot{Info: e.info, D: e.d, Ix: e.ix}, true
 }
@@ -302,19 +277,18 @@ func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.byID[id]
+	e, ok := s.lru.peek(id)
 	if !ok {
 		return DatasetInfo{}, fmt.Errorf("%w %q", ErrUnknownDataset, id)
 	}
-	e := el.Value.(*storeEntry)
 	if err := b.ValidateAgainst(e.head); err != nil {
 		return DatasetInfo{}, err
 	}
 	// Growth is the binary-size delta — the same accounting Add uses, so
 	// info.Bytes equals the head generation's BinarySize before it is
 	// ever derived. Over the bound, the batch is simply not recorded.
-	if s.bytes+grow > s.maxBytes {
-		return DatasetInfo{}, fmt.Errorf("%w: append of %d binary bytes exceeds the bound of %d", ErrStoreFull, grow, s.maxBytes)
+	if s.lru.bytes()+grow > s.lru.maxBytes {
+		return DatasetInfo{}, fmt.Errorf("%w: append of %d binary bytes exceeds the bound of %d", ErrStoreFull, grow, s.lru.maxBytes)
 	}
 	h := sha256.New()
 	h.Write([]byte(e.info.Digest))
@@ -328,15 +302,15 @@ func (s *Store) Append(id string, b *ingest.Batch) (DatasetInfo, error) {
 	if e.info.Digest != e.root {
 		delete(s.byDigest, e.info.Digest)
 	}
-	s.byDigest[digest] = el
+	s.byDigest[digest] = e
 	e.head.Push(b)
 	e.info.Digest = digest
 	e.info.Users += len(b.Users)
 	e.info.Contracts += len(b.Contracts)
 	e.info.Bytes += grow
 	e.info.Generation++
-	s.order.MoveToFront(el)
-	s.bytes += grow
+	s.lru.resize(id, e.info.Bytes)
+	s.lru.get(id)
 	s.reg.Counter("serve_datasets_appends_total").Inc()
 	s.reg.Counter("serve_events_applied_total").Add(int64(b.Len()))
 	s.gauges()
@@ -357,10 +331,8 @@ func writeBatchCSV(contracts, users *bytes.Buffer, b *ingest.Batch) error {
 func (s *Store) List() []DatasetInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]DatasetInfo, 0, s.order.Len())
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*storeEntry).info)
-	}
+	out := make([]DatasetInfo, 0, s.lru.len())
+	s.lru.each(func(_ string, e *storeEntry, _ int64) { out = append(out, e.info) })
 	return out
 }
 
@@ -370,17 +342,12 @@ func (s *Store) List() []DatasetInfo {
 // keys. A report run already holding the snapshot completes normally.
 func (s *Store) Delete(id string) bool {
 	s.mu.Lock()
-	el, ok := s.byID[id]
+	e, ok := s.lru.remove(id)
 	if !ok {
 		s.mu.Unlock()
 		return false
 	}
-	e := el.Value.(*storeEntry)
-	delete(s.byID, e.info.ID)
-	delete(s.byDigest, e.info.Digest)
-	delete(s.byDigest, e.root)
-	s.bytes -= e.info.Bytes
-	s.order.Remove(el)
+	s.forget(e)
 	s.reg.Counter("serve_datasets_deletes_total").Inc()
 	s.gauges()
 	s.mu.Unlock()
@@ -392,7 +359,7 @@ func (s *Store) Delete(id string) bool {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.lru.len()
 }
 
 // ErrUnsupportedUpload marks an upload body whose Content-Type is none of

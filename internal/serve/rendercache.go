@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"strings"
@@ -73,14 +72,11 @@ func buildRendered(key string, p Params, body []byte, weak bool) *Rendered {
 // cache: Get always misses and Put builds the entry without retaining it,
 // so the serving path needs no branches beyond the nil receiver.
 type RenderCache struct {
-	maxBytes int64
 	maxEntry int64 // admission bound: maxBytes/4, one body cannot flush the tier
 	reg      *obs.Registry
 
-	mu    sync.Mutex
-	bytes int64
-	order *list.List               // *Rendered, front = most recent
-	byKey map[string]*list.Element // render key → order element
+	mu  sync.Mutex
+	lru *lru[string, *Rendered] // render key → body, no count bound
 }
 
 // NewRenderCache builds a render cache with the given byte budget
@@ -99,11 +95,9 @@ func NewRenderCache(maxBytes int64, reg *obs.Registry) *RenderCache {
 		reg.Counter(name)
 	}
 	rc := &RenderCache{
-		maxBytes: maxBytes,
 		maxEntry: maxBytes / 4,
 		reg:      reg,
-		order:    list.New(),
-		byKey:    make(map[string]*list.Element),
+		lru:      newLRU[string, *Rendered](0, maxBytes),
 	}
 	rc.syncGauges()
 	return rc
@@ -112,16 +106,8 @@ func NewRenderCache(maxBytes int64, reg *obs.Registry) *RenderCache {
 // syncGauges mirrors the byte and entry accounting into the registry;
 // callers hold mu.
 func (rc *RenderCache) syncGauges() {
-	rc.reg.Gauge("serve_render_cache_bytes").Set(float64(rc.bytes))
-	rc.reg.Gauge("serve_render_cache_entries").Set(float64(rc.order.Len()))
-}
-
-// removeLocked drops el and credits its bytes back; callers hold mu.
-func (rc *RenderCache) removeLocked(el *list.Element) {
-	e := el.Value.(*Rendered)
-	delete(rc.byKey, e.Key)
-	rc.order.Remove(el)
-	rc.bytes -= e.size
+	rc.reg.Gauge("serve_render_cache_bytes").Set(float64(rc.lru.bytes()))
+	rc.reg.Gauge("serve_render_cache_entries").Set(float64(rc.lru.len()))
 }
 
 // Get returns the cached rendered body for key, counting the outcome in
@@ -131,17 +117,14 @@ func (rc *RenderCache) Get(key string) (*Rendered, bool) {
 		return nil, false
 	}
 	rc.mu.Lock()
-	el, ok := rc.byKey[key]
-	if ok {
-		rc.order.MoveToFront(el)
-	}
+	e, ok := rc.lru.get(key)
 	rc.mu.Unlock()
 	if !ok {
 		rc.reg.Counter("serve_render_cache_misses_total").Inc()
 		return nil, false
 	}
 	rc.reg.Counter("serve_render_cache_hits_total").Inc()
-	return el.Value.(*Rendered), true
+	return e, true
 }
 
 // Put builds the entry for (key, p, body) and admits it, evicting from
@@ -159,19 +142,12 @@ func (rc *RenderCache) Put(key string, p Params, body []byte, weak bool) *Render
 		return e
 	}
 	rc.mu.Lock()
-	if el, ok := rc.byKey[key]; ok {
+	if _, ok := rc.lru.get(key); ok {
 		// A racing miss already installed this key; keep the incumbent.
-		rc.order.MoveToFront(el)
 		rc.mu.Unlock()
 		return e
 	}
-	rc.byKey[key] = rc.order.PushFront(e)
-	rc.bytes += e.size
-	evicted := 0
-	for rc.bytes > rc.maxBytes {
-		rc.removeLocked(rc.order.Back())
-		evicted++
-	}
+	evicted := len(rc.lru.add(key, e, e.size))
 	rc.syncGauges()
 	rc.mu.Unlock()
 	if evicted > 0 {
@@ -188,15 +164,7 @@ func (rc *RenderCache) EvictWhere(pred func(Params) bool) int {
 		return 0
 	}
 	rc.mu.Lock()
-	n := 0
-	for el := rc.order.Front(); el != nil; {
-		next := el.Next()
-		if pred(el.Value.(*Rendered).Params) {
-			rc.removeLocked(el)
-			n++
-		}
-		el = next
-	}
+	n := rc.lru.removeWhere(func(e *Rendered) bool { return pred(e.Params) })
 	if n > 0 {
 		rc.syncGauges()
 	}
@@ -214,7 +182,7 @@ func (rc *RenderCache) Bytes() int64 {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.bytes
+	return rc.lru.bytes()
 }
 
 // Len reports the number of retained rendered bodies.
@@ -224,5 +192,5 @@ func (rc *RenderCache) Len() int {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.order.Len()
+	return rc.lru.len()
 }

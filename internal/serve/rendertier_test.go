@@ -262,3 +262,64 @@ func TestInvalidateClearsBothTiers(t *testing.T) {
 		t.Fatalf("serve_render_cache_bytes=%g after re-render, want > 0", gauge)
 	}
 }
+
+// TestRenderCacheBudget pins the render tier's byte budget: over-budget
+// Puts evict the least recently used body first, a body over a quarter
+// of the budget is returned but not retained, and the bytes/entries
+// gauges track Bytes()/Len() throughout.
+func TestRenderCacheBudget(t *testing.T) {
+	body := func(n int) []byte { return []byte(strings.Repeat("x", n)) }
+	// Weak entries carry no gzip variant, so a fixed-length key and body
+	// always cost the same; measure that cost on an unbounded tier.
+	probe := serve.NewRenderCache(1<<20, obs.NewRegistry())
+	probe.Put("k0", serve.Params{}, body(500), true)
+	size := probe.Bytes()
+
+	reg := obs.NewRegistry()
+	rc := serve.NewRenderCache(4*size, reg) // four entries fit; a quarter is one entry
+	gauges := func(when string) {
+		t.Helper()
+		if b := reg.Gauge("serve_render_cache_bytes").Value(); b != float64(rc.Bytes()) {
+			t.Fatalf("%s: serve_render_cache_bytes=%g, Bytes()=%d", when, b, rc.Bytes())
+		}
+		if n := reg.Gauge("serve_render_cache_entries").Value(); n != float64(rc.Len()) {
+			t.Fatalf("%s: serve_render_cache_entries=%g, Len()=%d", when, n, rc.Len())
+		}
+	}
+	for _, k := range []string{"k1", "k2", "k3", "k4"} {
+		rc.Put(k, serve.Params{}, body(500), true)
+	}
+	if rc.Len() != 4 || rc.Bytes() != 4*size {
+		t.Fatalf("four bodies in a four-body budget: len=%d bytes=%d, want 4 / %d", rc.Len(), rc.Bytes(), 4*size)
+	}
+	gauges("full")
+	rc.Get("k1") // k2 is now the least recently used
+	rc.Put("k5", serve.Params{}, body(500), true)
+	if got := reg.Counter("serve_render_cache_evictions_total").Value(); got != 1 {
+		t.Fatalf("serve_render_cache_evictions_total=%d, want 1", got)
+	}
+	if _, ok := rc.Get("k2"); ok {
+		t.Fatal("k2 survived; the least recently used body must be evicted first")
+	}
+	for _, k := range []string{"k1", "k3", "k4", "k5"} {
+		if _, ok := rc.Get(k); !ok {
+			t.Fatalf("%s evicted; only k2 should go", k)
+		}
+	}
+	gauges("after eviction")
+
+	big := body(501) // one byte over a quarter of the budget
+	if e := rc.Put("k6", serve.Params{}, big, true); e == nil || string(e.Body) != string(big) {
+		t.Fatal("over-quarter body not returned to the caller")
+	}
+	if got := reg.Counter("serve_render_cache_rejected_total").Value(); got != 1 {
+		t.Fatalf("serve_render_cache_rejected_total=%d, want 1", got)
+	}
+	if _, ok := rc.Get("k6"); ok || rc.Len() != 4 || rc.Bytes() != 4*size {
+		t.Fatalf("over-quarter body retained: len=%d bytes=%d", rc.Len(), rc.Bytes())
+	}
+	if got := reg.Counter("serve_render_cache_evictions_total").Value(); got != 1 {
+		t.Fatalf("rejected Put evicted: serve_render_cache_evictions_total=%d", got)
+	}
+	gauges("after rejection")
+}

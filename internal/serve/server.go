@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -30,12 +31,10 @@ type Options struct {
 	CacheTTL time.Duration
 	// MaxCacheBytes is the result cache's byte budget (default 1 GiB): each
 	// admitted result is sized once (Results.SizeBytes) and the LRU evicts
-	// by bytes, with CacheSize as a secondary count bound.
+	// by bytes, with CacheSize as a secondary count bound. Results sized
+	// over a quarter of it are served but never cached, so one giant result
+	// cannot flush the working set.
 	MaxCacheBytes int64
-	// CacheEntryFrac is the admission bound as a fraction of MaxCacheBytes
-	// (default 0.25): results estimated larger are served but never cached,
-	// so one giant result cannot flush the working set.
-	CacheEntryFrac float64
 	// RenderCacheBytes is the rendered-body cache's byte budget: 0 means
 	// the 64 MiB default, negative disables the tier (every response then
 	// re-renders, the pre-two-tier behaviour — the bench-cache baseline).
@@ -64,7 +63,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// AccessLog, when non-nil, receives one structured line per request
 	// (method, route, status, bytes, duration, cache state, request id).
-	AccessLog *obs.Logger
+	AccessLog *slog.Logger
 	// Trace, when non-nil, records one child span per request under the
 	// tracer's root (method, path, status, cache outcome, request id).
 	Trace *obs.Tracer
@@ -122,11 +121,10 @@ func New(opts Options) *Server {
 		runner = s.pipelineRunner(opts.Workers)
 	}
 	s.cache = NewCache(opts.BaseContext, runner, CacheConfig{
-		Capacity:     opts.CacheSize,
-		MaxBytes:     opts.MaxCacheBytes,
-		MaxEntryFrac: opts.CacheEntryFrac,
-		MaxRuns:      opts.MaxRuns,
-		TTL:          opts.CacheTTL,
+		Capacity: opts.CacheSize,
+		MaxBytes: opts.MaxCacheBytes,
+		MaxRuns:  opts.MaxRuns,
+		TTL:      opts.CacheTTL,
 	}, opts.Metrics)
 	if opts.RenderCacheBytes >= 0 {
 		s.rcache = NewRenderCache(opts.RenderCacheBytes, opts.Metrics)
@@ -272,16 +270,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		sp.End()
 	}
-	s.opts.AccessLog.Log("request",
-		obs.F("id", id),
-		obs.F("method", r.Method),
-		obs.F("route", route),
-		obs.F("path", r.URL.Path),
-		obs.F("status", rw.code),
-		obs.F("bytes", rw.bytes),
-		obs.F("dur_ms", float64(dur)/float64(time.Millisecond)),
-		obs.F("cache", cache),
-	)
+	if s.opts.AccessLog != nil {
+		s.opts.AccessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("id", id),
+			slog.String("method", r.Method),
+			slog.String("route", route),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rw.code),
+			slog.Int64("bytes", rw.bytes),
+			slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
+			slog.String("cache", cache),
+		)
+	}
 }
 
 // reportResponse is the JSON body of /v1/report.
