@@ -93,7 +93,7 @@ func BenchmarkTable3Activities(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Activities(d)
+		r := analysis.Activities(analysis.NewIndex(d))
 		if len(r.Rows) == 0 {
 			b.Fatal("no activities")
 		}
@@ -104,7 +104,7 @@ func BenchmarkTable4Payments(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.PaymentMethods(d)
+		r := analysis.PaymentMethods(analysis.NewIndex(d))
 		if len(r.Rows) == 0 {
 			b.Fatal("no methods")
 		}
@@ -115,7 +115,7 @@ func BenchmarkTable5Values(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Values(d)
+		r := analysis.Values(analysis.NewIndex(d))
 		if r.TotalUSD <= 0 {
 			b.Fatal("no value")
 		}
@@ -137,7 +137,7 @@ func BenchmarkTable7ColdStartClusters(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ColdStart(d, rng.New(uint64(i)+1)); err != nil {
+		if _, err := analysis.ColdStart(analysis.NewIndex(d), rng.New(uint64(i)+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkTable9ZIPAll(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ZIPAllUsers(d); err != nil {
+		if _, err := analysis.ZIPAllUsers(analysis.NewIndex(d)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkTable10ZIPSub(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ZIPSubgroups(d); err != nil {
+		if _, err := analysis.ZIPSubgroups(analysis.NewIndex(d)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +180,7 @@ func BenchmarkFigure1MonthlyGrowth(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := analysis.Growth(d)
+		g := analysis.Growth(analysis.NewIndex(d))
 		if g.Created[9] == 0 {
 			b.Fatal("empty growth")
 		}
@@ -191,7 +191,7 @@ func BenchmarkFigure2VisibilityTrend(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.PublicTrend(d)
+		analysis.PublicTrend(analysis.NewIndex(d))
 	}
 }
 
@@ -199,7 +199,7 @@ func BenchmarkFigure3TypeShares(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.TypeShareTrend(d)
+		analysis.TypeShareTrend(analysis.NewIndex(d))
 	}
 }
 
@@ -215,7 +215,7 @@ func BenchmarkFigure5Concentration(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Concentrate(d)
+		analysis.Concentrate(analysis.NewIndex(d))
 	}
 }
 
@@ -223,7 +223,7 @@ func BenchmarkFigure6KeyShare(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.KeyShares(d)
+		analysis.KeyShares(analysis.NewIndex(d))
 	}
 }
 
@@ -242,7 +242,7 @@ func BenchmarkFigure8DegreeGrowth(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.DegreeGrowthTrend(d, false)
+		analysis.DegreeGrowthTrend(analysis.NewIndex(d), false)
 	}
 }
 
@@ -250,7 +250,7 @@ func BenchmarkFigure9ProductTrend(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ProductTrends(d)
+		analysis.ProductTrends(analysis.NewIndex(d))
 	}
 }
 
@@ -258,16 +258,16 @@ func BenchmarkFigure10PaymentTrend(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.PaymentTrends(d)
+		analysis.PaymentTrends(analysis.NewIndex(d))
 	}
 }
 
 func BenchmarkFigure11ValueTrend(b *testing.B) {
 	d := benchCorpus(b)
-	report := analysis.Values(d)
+	report := analysis.Values(analysis.NewIndex(d))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ValueTrends(d, report)
+		analysis.ValueTrends(analysis.NewIndex(d), report)
 	}
 }
 
@@ -333,7 +333,7 @@ func BenchmarkHighValueAudit(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Values(d)
+		r := analysis.Values(analysis.NewIndex(d))
 		if r.Audit.HighValue == 0 {
 			b.Skip("no high-value contracts at bench scale")
 		}
@@ -433,7 +433,10 @@ func BenchmarkCategoriseCorpusDirect(b *testing.B) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, c := range d.CompletedPublic() {
+		for _, c := range d.Contracts {
+			if !c.Public || !c.IsComplete() {
+				continue
+			}
 			textmine.Categorize(c.MakerObligation)
 			textmine.Categorize(c.TakerObligation)
 		}
@@ -647,7 +650,7 @@ func ablationTexts(b *testing.B) []string {
 	b.Helper()
 	d := benchCorpus(b)
 	var texts []string
-	for _, c := range d.CompletedPublic() {
+	for _, c := range analysis.NewIndex(d).CompletedPublic() {
 		if c.MakerObligation != "" {
 			texts = append(texts, c.MakerObligation)
 		}

@@ -26,8 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ix := analysis.NewIndex(d)
+
 	// Two-stage k-means over the cold start variables.
-	cs, err := analysis.ColdStart(d, rng.New(7))
+	cs, err := analysis.ColdStart(ix, rng.New(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 
 	// Zero-inflated Poisson: how activity and trust signals predict
 	// completed contracts in each era.
-	zips, err := analysis.ZIPAllUsers(d)
+	zips, err := analysis.ZIPAllUsers(ix)
 	if err != nil {
 		log.Fatal(err)
 	}

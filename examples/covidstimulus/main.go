@@ -28,8 +28,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ix := analysis.NewIndex(d)
+
 	// --- Stimulus: the volume spike ---
-	g := analysis.Growth(d)
+	g := analysis.Growth(ix)
 	fmt.Println("Monthly created contracts (COVID-19 window highlighted):")
 	fmt.Print(report.MonthHeader())
 	fmt.Print(report.IntSeries("created", g.Created[:]))
@@ -40,7 +42,7 @@ func main() {
 		aprStable, aprCovid, 100*(float64(aprCovid)/float64(aprStable)-1))
 
 	// --- Not a transformation: shares barely move ---
-	ts := analysis.TypeShareTrend(d)
+	ts := analysis.TypeShareTrend(ix)
 	fmt.Println("Contract type shares, late STABLE vs COVID-19 peak:")
 	maxShift := 0.0
 	for _, typ := range forum.ContractTypes {
@@ -60,7 +62,7 @@ func main() {
 	fmt.Printf("largest share shift: %.1f points → %s\n\n", 100*maxShift, verdict)
 
 	// --- The same story for products and payment methods ---
-	prod := analysis.ProductTrends(d)
+	prod := analysis.ProductTrends(ix)
 	fmt.Println("Top-5 product categories, monthly completed public contracts:")
 	for _, cat := range prod.Categories {
 		counts := prod.Counts[cat]
@@ -70,7 +72,7 @@ func main() {
 
 	// --- Era summary ---
 	for _, e := range dataset.Eras {
-		cs := d.InEra(e)
+		cs := ix.InEra(e)
 		perMonth := float64(len(cs)) / float64(len(e.Months()))
 		fmt.Printf("%-9s %6d contracts over %2d months (%.0f/month)\n",
 			e, len(cs), len(e.Months()), perMonth)

@@ -26,8 +26,9 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ix := analysis.NewIndex(d)
 	created := analysis.DegreeDist(d.Contracts)
-	completed := analysis.DegreeDist(d.Completed())
+	completed := analysis.DegreeDist(ix.Completed())
 	fmt.Print(report.DegreeDist("created", created))
 	fmt.Print(report.DegreeDist("completed", completed))
 
@@ -50,6 +51,6 @@ func main() {
 	// Figure 8: the cumulative network's degree growth. Max raw and max
 	// inbound track each other; outbound stays far lower — hubs are formed
 	// by accepting contracts, not initiating them.
-	growth := analysis.DegreeGrowthTrend(d, false)
+	growth := analysis.DegreeGrowthTrend(ix, false)
 	fmt.Print(report.DegreeGrowth(growth))
 }

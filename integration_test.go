@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"turnup/internal/analysis"
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
 )
@@ -81,10 +82,11 @@ func TestEraConsistencyAcrossAnalyses(t *testing.T) {
 	if totalCreated != len(d.Contracts) {
 		t.Errorf("growth created %d vs contracts %d", totalCreated, len(d.Contracts))
 	}
-	// Taxonomy complete bucket equals the Completed() filter.
+	// Taxonomy complete bucket equals the Index's completed subset.
+	ix := analysis.NewIndex(d)
 	taxComplete := res.Taxonomy.BucketTotal(0) // BucketComplete
-	if taxComplete != len(d.Completed()) {
-		t.Errorf("taxonomy complete %d vs filter %d", taxComplete, len(d.Completed()))
+	if taxComplete != len(ix.Completed()) {
+		t.Errorf("taxonomy complete %d vs filter %d", taxComplete, len(ix.Completed()))
 	}
 	// Visibility totals equal taxonomy totals.
 	visTotal := 0
@@ -99,7 +101,7 @@ func TestEraConsistencyAcrossAnalyses(t *testing.T) {
 	// Era partitions cover all contracts exactly once.
 	eraSum := 0
 	for _, e := range []int{0, 1, 2} {
-		eraSum += len(d.InEra(dataset.Era(e)))
+		eraSum += len(ix.InEra(dataset.Era(e)))
 	}
 	if eraSum != len(d.Contracts) {
 		t.Errorf("era partition covers %d of %d", eraSum, len(d.Contracts))

@@ -32,9 +32,7 @@ type ActivitiesResult struct {
 }
 
 // Activities computes Table 3 over completed public contracts.
-func Activities(d *dataset.Dataset) ActivitiesResult { return activitiesIdx(NewIndex(d)) }
-
-func activitiesIdx(ix *Index) ActivitiesResult {
+func Activities(ix *Index) ActivitiesResult {
 	return activitiesOver(ix, ix.CompletedPublic())
 }
 
@@ -163,10 +161,8 @@ type ProductTrend struct {
 }
 
 // ProductTrends computes Figure 9.
-func ProductTrends(d *dataset.Dataset) ProductTrend { return productTrendsIdx(NewIndex(d)) }
-
-func productTrendsIdx(ix *Index) ProductTrend {
-	overall := activitiesIdx(ix)
+func ProductTrends(ix *Index) ProductTrend {
+	overall := Activities(ix)
 	var top []textmine.Category
 	for _, row := range overall.Rows {
 		if row.Category == textmine.CurrencyExchange || row.Category == textmine.Payments {

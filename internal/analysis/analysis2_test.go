@@ -13,7 +13,7 @@ import (
 func TestDegreeDistFigureSeven(t *testing.T) {
 	d := corpus(t)
 	created := DegreeDist(d.Contracts)
-	completed := DegreeDist(d.Completed())
+	completed := DegreeDist(NewIndex(d).Completed())
 	if created.Nodes == 0 || completed.Nodes <= 0 {
 		t.Fatal("empty networks")
 	}
@@ -55,7 +55,7 @@ func TestDegreeDistFigureSeven(t *testing.T) {
 
 func TestDegreeGrowthFigureEight(t *testing.T) {
 	d := corpus(t)
-	g := DegreeGrowthTrend(d, false)
+	g := DegreeGrowthTrend(NewIndex(d), false)
 	// Cumulative maxima are non-decreasing.
 	for m := 1; m < dataset.NumMonths; m++ {
 		if g.MaxRaw[m] < g.MaxRaw[m-1] || g.MaxInbound[m] < g.MaxInbound[m-1] ||
@@ -80,7 +80,7 @@ func TestDegreeGrowthFigureEight(t *testing.T) {
 		t.Error("mean degree did not grow")
 	}
 	// Completed variant produces smaller maxima.
-	gc := DegreeGrowthTrend(d, true)
+	gc := DegreeGrowthTrend(NewIndex(d), true)
 	if gc.MaxRaw[last] >= g.MaxRaw[last] {
 		t.Error("completed network max not below created")
 	}
@@ -88,7 +88,7 @@ func TestDegreeGrowthFigureEight(t *testing.T) {
 
 func TestActivitiesTableThree(t *testing.T) {
 	d := corpus(t)
-	r := Activities(d)
+	r := Activities(NewIndex(d))
 	if len(r.Rows) < 10 {
 		t.Fatalf("only %d activity rows", len(r.Rows))
 	}
@@ -128,7 +128,7 @@ func TestActivitiesTableThree(t *testing.T) {
 
 func TestProductTrendsFigureNine(t *testing.T) {
 	d := corpus(t)
-	tr := ProductTrends(d)
+	tr := ProductTrends(NewIndex(d))
 	if len(tr.Categories) != 5 {
 		t.Fatalf("top categories = %v", tr.Categories)
 	}
@@ -159,7 +159,7 @@ func TestProductTrendsFigureNine(t *testing.T) {
 
 func TestPaymentMethodsTableFour(t *testing.T) {
 	d := corpus(t)
-	r := PaymentMethods(d)
+	r := PaymentMethods(NewIndex(d))
 	if len(r.Rows) < 8 {
 		t.Fatalf("only %d method rows", len(r.Rows))
 	}
@@ -184,7 +184,7 @@ func TestPaymentMethodsTableFour(t *testing.T) {
 
 func TestPaymentTrendsFigureTen(t *testing.T) {
 	d := corpus(t)
-	tr := PaymentTrends(d)
+	tr := PaymentTrends(NewIndex(d))
 	if len(tr.Methods) != 5 {
 		t.Fatalf("top methods = %v", tr.Methods)
 	}
@@ -207,7 +207,7 @@ func TestPaymentTrendsFigureTen(t *testing.T) {
 
 func TestValuesSectionFourFive(t *testing.T) {
 	d := corpus(t)
-	r := Values(d)
+	r := Values(NewIndex(d))
 	if len(r.PerContract) == 0 {
 		t.Fatal("no valued contracts")
 	}
@@ -256,8 +256,8 @@ func TestValuesSectionFourFive(t *testing.T) {
 
 func TestValueTrendsFigureEleven(t *testing.T) {
 	d := corpus(t)
-	report := Values(d)
-	tr := ValueTrends(d, report)
+	report := Values(NewIndex(d))
+	tr := ValueTrends(NewIndex(d), report)
 	// Monthly by-type totals reconstruct the overall total.
 	sum := 0.0
 	for _, series := range tr.ByType {
@@ -286,7 +286,7 @@ func TestValueTrendsFigureEleven(t *testing.T) {
 
 func TestColdStartSectionFiveTwo(t *testing.T) {
 	d := corpus(t)
-	r, err := ColdStart(d, rng.New(21))
+	r, err := ColdStart(NewIndex(d), rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestColdStartSectionFiveTwo(t *testing.T) {
 
 func TestChangePointsNearEraBoundaries(t *testing.T) {
 	d := corpus(t)
-	points := ChangePoints(d, 3)
+	points := ChangePoints(NewIndex(d), 3)
 	if len(points) == 0 {
 		t.Fatal("no change points")
 	}
@@ -351,7 +351,7 @@ func TestChangePointsNearEraBoundaries(t *testing.T) {
 
 func TestAssortativityByEra(t *testing.T) {
 	d := corpus(t)
-	a := AssortativityByEra(d)
+	a := AssortativityByEra(NewIndex(d))
 	if len(a) != dataset.NumEras {
 		t.Fatalf("eras = %d", len(a))
 	}

@@ -142,7 +142,7 @@ func TestVisibilityTable(t *testing.T) {
 
 func TestGrowthFigureOne(t *testing.T) {
 	d := corpus(t)
-	g := Growth(d)
+	g := Growth(NewIndex(d))
 	totalCreated := 0
 	for _, n := range g.Created {
 		totalCreated += n
@@ -154,7 +154,7 @@ func TestGrowthFigureOne(t *testing.T) {
 	for _, n := range g.Completed {
 		totalCompleted += n
 	}
-	if totalCompleted != len(d.Completed()) {
+	if totalCompleted != len(NewIndex(d).Completed()) {
 		t.Fatalf("completed sums to %d", totalCompleted)
 	}
 	// Mandatory-contract jump and COVID spike.
@@ -180,7 +180,7 @@ func TestGrowthFigureOne(t *testing.T) {
 
 func TestPublicTrendFigureTwo(t *testing.T) {
 	d := corpus(t)
-	tr := PublicTrend(d)
+	tr := PublicTrend(NewIndex(d))
 	// Early SET-UP well above STABLE.
 	early := (tr.CreatedPublic[0] + tr.CreatedPublic[1] + tr.CreatedPublic[2]) / 3
 	stable := (tr.CreatedPublic[12] + tr.CreatedPublic[13] + tr.CreatedPublic[14]) / 3
@@ -208,7 +208,7 @@ func TestPublicTrendFigureTwo(t *testing.T) {
 
 func TestTypeShareTrendFigureThree(t *testing.T) {
 	d := corpus(t)
-	tr := TypeShareTrend(d)
+	tr := TypeShareTrend(NewIndex(d))
 	for m := 0; m < dataset.NumMonths; m++ {
 		sum := 0.0
 		for _, s := range tr.Created[m] {
@@ -257,7 +257,7 @@ func TestCompletionTimeTrendFigureFour(t *testing.T) {
 
 func TestConcentrationFigureFive(t *testing.T) {
 	d := corpus(t)
-	c := Concentrate(d)
+	c := Concentrate(NewIndex(d))
 	// Top 5% of users involved in the majority of contracts.
 	if s := c.UsersCreated.ShareAtTop(0.05); s < 0.55 {
 		t.Errorf("top-5%% user share (created) = %.3f", s)
@@ -283,7 +283,7 @@ func TestConcentrationFigureFive(t *testing.T) {
 
 func TestKeySharesFigureSix(t *testing.T) {
 	d := corpus(t)
-	k := KeyShares(d)
+	k := KeyShares(NewIndex(d))
 	for m := 0; m < dataset.NumMonths; m++ {
 		for _, v := range []float64{k.MemberCreated[m], k.MemberCompleted[m], k.ThreadCreated[m], k.ThreadCompleted[m]} {
 			if v < 0 || v > 1 {
@@ -298,7 +298,7 @@ func TestKeySharesFigureSix(t *testing.T) {
 
 func TestCentralisationTrend(t *testing.T) {
 	d := corpus(t)
-	c := CentralisationTrend(d)
+	c := CentralisationTrend(NewIndex(d))
 	for m, g := range c.Gini {
 		if g < 0 || g > 1 {
 			t.Fatalf("month %d Gini = %v", m, g)

@@ -19,11 +19,7 @@ type ChangePoint struct {
 // ablation: the paper imposes its era boundaries from external events
 // rather than inferring them, and this scan shows the data independently
 // breaks near the same months (2019-03 and 2020-03/04).
-func ChangePoints(d *dataset.Dataset, top int) []ChangePoint {
-	return changePointsIdx(NewIndex(d), top)
-}
-
-func changePointsIdx(ix *Index, top int) []ChangePoint {
+func ChangePoints(ix *Index, top int) []ChangePoint {
 	byMonth := ix.ByMonth()
 	var series [dataset.NumMonths]float64
 	for m := range byMonth {

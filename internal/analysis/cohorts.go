@@ -20,9 +20,7 @@ type CohortRetention struct {
 }
 
 // Cohorts computes the retention matrix from contract participation.
-func Cohorts(d *dataset.Dataset) CohortRetention { return cohortsIdx(NewIndex(d)) }
-
-func cohortsIdx(ix *Index) CohortRetention {
+func Cohorts(ix *Index) CohortRetention {
 	var r CohortRetention
 	var activeCounts [dataset.NumMonths][dataset.NumMonths]int
 	// Per-user retention is a pure count: iterating users in map order is
@@ -71,16 +69,21 @@ func (r CohortRetention) MeanRetentionAt(k int) float64 {
 
 // ConcentrationCI bootstrap-resamples users to put a confidence interval
 // on the Figure 5 headline number — the share of contracts involving the
-// top 5% of users.
+// top 5% of users. Users' weights are ordered by first appearance in
+// the corpus, so a given source always draws the same resamples.
 func ConcentrationCI(d *dataset.Dataset, level float64, resamples int, src *rng.Source) (stats.BootstrapCI, error) {
-	counts := map[forum.UserID]float64{}
+	slot := map[forum.UserID]int{}
+	var weights []float64
 	for _, c := range d.Contracts {
-		counts[c.Maker]++
-		counts[c.Taker]++
-	}
-	weights := make([]float64, 0, len(counts))
-	for _, v := range counts {
-		weights = append(weights, v)
+		for _, u := range [2]forum.UserID{c.Maker, c.Taker} {
+			i, ok := slot[u]
+			if !ok {
+				i = len(weights)
+				slot[u] = i
+				weights = append(weights, 0)
+			}
+			weights[i]++
+		}
 	}
 	// ShareOfTop over participation weights approximates the union-share
 	// curve closely enough for an uncertainty band and is resample-stable.

@@ -8,7 +8,7 @@ import (
 
 func TestCohortRetention(t *testing.T) {
 	d := corpus(t)
-	r := Cohorts(d)
+	r := Cohorts(NewIndex(d))
 	totalUsers := 0
 	for _, s := range r.Size {
 		totalUsers += s
@@ -61,5 +61,13 @@ func TestConcentrationCI(t *testing.T) {
 	// The statistic is hub-dominated, so the interval is wide but bounded.
 	if ci.Hi-ci.Lo > 0.4 {
 		t.Errorf("CI width = %v, implausibly wide", ci.Hi-ci.Lo)
+	}
+	// Seed-deterministic: the same source seed gives the same interval.
+	again, err := ConcentrationCI(d, 0.95, 200, rng.New(51))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != ci {
+		t.Errorf("same seed gave %+v, then %+v", ci, again)
 	}
 }

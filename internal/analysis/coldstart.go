@@ -58,11 +58,7 @@ type ColdStartResult struct {
 // standardised cold start variables of users whose first accepted contract
 // falls in STABLE, then re-clustering of the small outlier cluster into
 // (up to) eight groups.
-func ColdStart(d *dataset.Dataset, src *rng.Source) (*ColdStartResult, error) {
-	return coldStartIdx(NewIndex(d), src)
-}
-
-func coldStartIdx(ix *Index, src *rng.Source) (*ColdStartResult, error) {
+func ColdStart(ix *Index, src *rng.Source) (*ColdStartResult, error) {
 	d := ix.D
 	firstAccept, lastActivity := activitySpans(d)
 

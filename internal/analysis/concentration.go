@@ -43,9 +43,7 @@ type Concentration struct {
 // contracts they are party to and report, for each prefix of the ranking,
 // the fraction of contracts involving at least one ranked user. Thread
 // curves do the same over thread-linked contracts.
-func Concentrate(d *dataset.Dataset) Concentration { return concentrateIdx(NewIndex(d)) }
-
-func concentrateIdx(ix *Index) Concentration {
+func Concentrate(ix *Index) Concentration {
 	completed := ix.Completed()
 	return Concentration{
 		UsersCreated:     userCurve(ix.D.Contracts),
@@ -148,9 +146,7 @@ type KeyShare struct {
 
 // KeyShares computes Figure 6. Key members and key threads are recomputed
 // per month, as the paper notes.
-func KeyShares(d *dataset.Dataset) KeyShare { return keySharesIdx(NewIndex(d)) }
-
-func keySharesIdx(ix *Index) KeyShare {
+func KeyShares(ix *Index) KeyShare {
 	var r KeyShare
 	byMonth := ix.ByMonth()
 	completedByMonth := ix.CompletedByMonth()
@@ -187,11 +183,7 @@ type Centralisation struct {
 }
 
 // CentralisationTrend computes the monthly participation Gini.
-func CentralisationTrend(d *dataset.Dataset) Centralisation {
-	return centralisationTrendIdx(NewIndex(d))
-}
-
-func centralisationTrendIdx(ix *Index) Centralisation {
+func CentralisationTrend(ix *Index) Centralisation {
 	var out Centralisation
 	byMonth := ix.ByMonth()
 	for m := 0; m < dataset.NumMonths; m++ {

@@ -50,28 +50,28 @@ func pure(fn func(ix *Index, res *Suite)) func(*Index, *Suite, *SuiteOptions, *r
 var stageTable = []stageSpec{
 	{name: "Taxonomy", fn: pure(func(ix *Index, res *Suite) { res.Taxonomy = Taxonomy(ix.D) })},
 	{name: "Visibility", fn: pure(func(ix *Index, res *Suite) { res.Visibility = Visibility(ix.D) })},
-	{name: "Growth", fn: pure(func(ix *Index, res *Suite) { res.Growth = growthIdx(ix) })},
-	{name: "PublicTrend", fn: pure(func(ix *Index, res *Suite) { res.PublicTrend = publicTrendIdx(ix) })},
-	{name: "TypeShares", fn: pure(func(ix *Index, res *Suite) { res.TypeShares = typeShareTrendIdx(ix) })},
+	{name: "Growth", fn: pure(func(ix *Index, res *Suite) { res.Growth = Growth(ix) })},
+	{name: "PublicTrend", fn: pure(func(ix *Index, res *Suite) { res.PublicTrend = PublicTrend(ix) })},
+	{name: "TypeShares", fn: pure(func(ix *Index, res *Suite) { res.TypeShares = TypeShareTrend(ix) })},
 	{name: "CompletionTimes", fn: pure(func(ix *Index, res *Suite) { res.CompletionTimes = CompletionTimeTrend(ix.D) })},
-	{name: "Concentration", fn: pure(func(ix *Index, res *Suite) { res.Concentration = concentrateIdx(ix) })},
-	{name: "KeyShares", fn: pure(func(ix *Index, res *Suite) { res.KeyShares = keySharesIdx(ix) })},
+	{name: "Concentration", fn: pure(func(ix *Index, res *Suite) { res.Concentration = Concentrate(ix) })},
+	{name: "KeyShares", fn: pure(func(ix *Index, res *Suite) { res.KeyShares = KeyShares(ix) })},
 	{name: "DegreesCreated", fn: pure(func(ix *Index, res *Suite) { res.DegreesCreated = DegreeDist(ix.D.Contracts) })},
 	{name: "DegreesDone", fn: pure(func(ix *Index, res *Suite) { res.DegreesDone = DegreeDist(ix.Completed()) })},
-	{name: "DegreeGrowth", fn: pure(func(ix *Index, res *Suite) { res.DegreeGrowth = degreeGrowthTrendIdx(ix, false) })},
-	{name: "Products", fn: pure(func(ix *Index, res *Suite) { res.Products = productTrendsIdx(ix) })},
-	{name: "PaymentTrend", fn: pure(func(ix *Index, res *Suite) { res.PaymentTrend = paymentTrendsIdx(ix) })},
-	{name: "Activities", fn: pure(func(ix *Index, res *Suite) { res.Activities = activitiesIdx(ix) })},
-	{name: "Payments", fn: pure(func(ix *Index, res *Suite) { res.Payments = paymentMethodsIdx(ix) })},
-	{name: "ChangePoints", fn: pure(func(ix *Index, res *Suite) { res.ChangePoints = changePointsIdx(ix, 3) })},
-	{name: "Participation", fn: pure(func(ix *Index, res *Suite) { res.Participation = participationIdx(ix) })},
+	{name: "DegreeGrowth", fn: pure(func(ix *Index, res *Suite) { res.DegreeGrowth = DegreeGrowthTrend(ix, false) })},
+	{name: "Products", fn: pure(func(ix *Index, res *Suite) { res.Products = ProductTrends(ix) })},
+	{name: "PaymentTrend", fn: pure(func(ix *Index, res *Suite) { res.PaymentTrend = PaymentTrends(ix) })},
+	{name: "Activities", fn: pure(func(ix *Index, res *Suite) { res.Activities = Activities(ix) })},
+	{name: "Payments", fn: pure(func(ix *Index, res *Suite) { res.Payments = PaymentMethods(ix) })},
+	{name: "ChangePoints", fn: pure(func(ix *Index, res *Suite) { res.ChangePoints = ChangePoints(ix, 3) })},
+	{name: "Participation", fn: pure(func(ix *Index, res *Suite) { res.Participation = Participation(ix) })},
 	{name: "Disputes", fn: pure(func(ix *Index, res *Suite) { res.Disputes = Disputes(ix.D) })},
-	{name: "Centralisation", fn: pure(func(ix *Index, res *Suite) { res.Centralisation = centralisationTrendIdx(ix) })},
-	{name: "Cohorts", fn: pure(func(ix *Index, res *Suite) { res.Cohorts = cohortsIdx(ix) })},
+	{name: "Centralisation", fn: pure(func(ix *Index, res *Suite) { res.Centralisation = CentralisationTrend(ix) })},
+	{name: "Cohorts", fn: pure(func(ix *Index, res *Suite) { res.Cohorts = Cohorts(ix) })},
 	{name: "Corpus", fn: pure(func(ix *Index, res *Suite) { res.Corpus = Corpus(ix.D) })},
 	{name: "Stimulus", fn: pure(func(ix *Index, res *Suite) { res.Stimulus = StimulusTest(ix.D) })},
 	{name: "Values", fn: func(ix *Index, res *Suite, opts *SuiteOptions, _ *rng.Source) error {
-		res.Values = valuesIdx(ix)
+		res.Values = Values(ix)
 		if opts.Metrics != nil {
 			opts.Metrics.Counter("audit_high_value_total").Add(int64(res.Values.Audit.HighValue))
 			opts.Metrics.Counter("audit_confirmed_total").Add(int64(res.Values.Audit.Confirmed))
@@ -82,7 +82,7 @@ var stageTable = []stageSpec{
 		return nil
 	}},
 	{name: "ValueTrend", deps: []string{"Values"},
-		fn: pure(func(ix *Index, res *Suite) { res.ValueTrend = valueTrendsIdx(ix, res.Values) })},
+		fn: pure(func(ix *Index, res *Suite) { res.ValueTrend = ValueTrends(ix, res.Values) })},
 	{name: "LatentClasses", model: true, rngLabel: 1,
 		fn: func(ix *Index, res *Suite, opts *SuiteOptions, src *rng.Source) error {
 			ltm, err := LatentClasses(ix.D, LTMOptions{K: opts.LatentClassK, Restarts: 2}, src)
@@ -96,7 +96,7 @@ var stageTable = []stageSpec{
 		fn: pure(func(ix *Index, res *Suite) { res.Flows = Flows(ix.D, res.LTM) })},
 	{name: "ColdStart", model: true, rngLabel: 2,
 		fn: func(ix *Index, res *Suite, _ *SuiteOptions, src *rng.Source) error {
-			cs, err := coldStartIdx(ix, src)
+			cs, err := ColdStart(ix, src)
 			if err != nil {
 				return fmt.Errorf("analysis: cold start: %w", err)
 			}
@@ -106,7 +106,7 @@ var stageTable = []stageSpec{
 	{name: "ZIPAll", model: true,
 		fn: func(ix *Index, res *Suite, _ *SuiteOptions, _ *rng.Source) error {
 			var err error
-			if res.ZIPAll, err = zipAllUsersIdx(ix); err != nil {
+			if res.ZIPAll, err = ZIPAllUsers(ix); err != nil {
 				return fmt.Errorf("analysis: ZIP (all users): %w", err)
 			}
 			return nil
@@ -114,7 +114,7 @@ var stageTable = []stageSpec{
 	{name: "ZIPSub", model: true,
 		fn: func(ix *Index, res *Suite, _ *SuiteOptions, _ *rng.Source) error {
 			var err error
-			if res.ZIPSub, err = zipSubgroupsIdx(ix); err != nil {
+			if res.ZIPSub, err = ZIPSubgroups(ix); err != nil {
 				return fmt.Errorf("analysis: ZIP (subgroups): %w", err)
 			}
 			return nil
@@ -152,8 +152,7 @@ func init() {
 }
 
 // Stages returns the declared analysis DAG in canonical (topological)
-// order. It replaces the order-only StageNames list: consumers get each
-// stage's dependencies and model tier as well as the order.
+// order: each stage's name, dependencies and model tier.
 func Stages() []StageInfo {
 	out := make([]StageInfo, len(stageTable))
 	for i, st := range stageTable {
@@ -165,20 +164,6 @@ func Stages() []StageInfo {
 	}
 	return out
 }
-
-// StageNames lists every Suite stage in canonical execution order, model
-// stages last.
-//
-// Deprecated: StageNames is now derived from the stage DAG and kept so
-// existing consumers compile; new code should use Stages, which also
-// carries each stage's dependencies.
-var StageNames = func() []string {
-	names := make([]string, len(stageTable))
-	for i, st := range stageTable {
-		names[i] = st.name
-	}
-	return names
-}()
 
 // ValidateStages reports the first unknown name among names as an error
 // listing the declared stage vocabulary; a nil or empty list is valid.
@@ -197,7 +182,11 @@ func ValidateStages(names []string) error {
 // unknownStageError is the canonical bad-stage-name error: it names the
 // culprit and lists the full valid vocabulary.
 func unknownStageError(name string) error {
-	return fmt.Errorf("analysis: unknown stage %q (valid: %s)", name, strings.Join(StageNames, ", "))
+	var names []string
+	for _, st := range Stages() {
+		names = append(names, st.Name)
+	}
+	return fmt.Errorf("analysis: unknown stage %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // selectStages resolves a requested subset to the set of stageTable

@@ -3,7 +3,6 @@ package analysis
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -34,7 +33,6 @@ type corpusGroups struct {
 	inEra            [dataset.NumEras][]*forum.Contract
 	userContracts    map[forum.UserID][]*forum.Contract
 	firstEra         map[forum.UserID]dataset.Era
-	maxCreated       time.Time
 
 	obligOnce sync.Once
 	oblig     map[forum.ContractID]*obligation
@@ -103,23 +101,29 @@ func sharedGroups(d *dataset.Dataset) *corpusGroups {
 }
 
 // buildGroups derives every eager group in one scan of the columnar
-// projection. Predicates read the int8/uint8 accelerator columns
-// (month, completion month, era, public) and the interned party table;
-// the bucket contents are the corpus's own contract pointers, appended
-// in corpus order so results are identical to the row-walks this
-// replaced — and to any worker count, since the scan is sequential.
+// projection (see extend) and leaves the text-mining tables lazy.
 func buildGroups(d *dataset.Dataset) *corpusGroups {
 	g := &corpusGroups{
-		nContracts:    len(d.Contracts),
 		userContracts: make(map[forum.UserID][]*forum.Contract, len(d.Users)),
 		firstEra:      make(map[forum.UserID]dataset.Era, len(d.Users)),
 	}
-	cols := d.Columns()
+	g.extend(d)
+	return g
+}
+
+// extend buckets d's rows from g.nContracts on — every row for a fresh
+// build, the appended suffix for Append — and advances g.nContracts to
+// cover d. Predicates read the projection's month, completion-month, era
+// and public columns and the interned party table, so BuildBlock alone
+// decides where a contract lands; bucket contents are the corpus's own
+// contract pointers, appended in corpus order. The scan is sequential,
+// so the result is the same at any worker count, and extending a prefix's
+// groups by the remaining rows equals building them all at once.
+func (g *corpusGroups) extend(d *dataset.Dataset) {
 	row := 0
-	for _, b := range cols.Blocks {
-		for i := 0; i < b.N; i++ {
-			c := d.Contracts[row]
-			row++
+	for _, b := range d.Columns().Blocks {
+		for i := max(g.nContracts-row, 0); i < b.N; i++ {
+			c := d.Contracts[row+i]
 			m := b.Month[i]
 			g.byMonth[m] = append(g.byMonth[m], c)
 			done := b.CompletedMonth[i] >= 0
@@ -149,99 +153,100 @@ func buildGroups(d *dataset.Dataset) *corpusGroups {
 			if prev, ok := g.firstEra[taker]; !ok || e < prev {
 				g.firstEra[taker] = e
 			}
-			// The watermark compares against live event times, so it keeps
-			// the contract's full (sub-second) precision rather than the
-			// column's whole seconds.
-			if c.Created.After(g.maxCreated) {
-				g.maxCreated = c.Created
-			}
 		}
+		row += b.N
 	}
-	return g
+	g.nContracts = row
 }
 
 // obligations returns the contract→classification table, building it on
 // first use — along with the money-contracts subset, which is a pure
-// function of the same classifications. Each distinct obligation text is
-// classified exactly once (corpora repeat template text heavily), with
-// the distinct texts split across a small worker pool in fixed disjoint
-// ranges of their first-appearance order, so the table is identical at
-// every worker count.
+// function of the same classifications.
 func (g *corpusGroups) obligations() map[forum.ContractID]*obligation {
 	g.obligOnce.Do(func() {
-		cs := g.completedPublic
-		texts := make([]string, 0, 2*len(cs))
-		slot := make(map[string]int, 2*len(cs))
-		for _, c := range cs {
-			if _, ok := slot[c.MakerObligation]; !ok {
-				slot[c.MakerObligation] = len(texts)
-				texts = append(texts, c.MakerObligation)
-			}
-			if _, ok := slot[c.TakerObligation]; !ok {
-				slot[c.TakerObligation] = len(texts)
-				texts = append(texts, c.TakerObligation)
-			}
-		}
-		type classified struct {
-			cats     []textmine.Category
-			methods  []textmine.Method
-			catMask  uint32
-			methMask uint32
-		}
-		results := make([]classified, len(texts))
-		classify := func(i int) {
-			cats, methods := textmine.Classify(texts[i])
-			results[i] = classified{cats, methods, catMaskOf(cats), methMaskOf(methods)}
-		}
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(texts) {
-			workers = len(texts)
-		}
-		if workers > 1 {
-			var wg sync.WaitGroup
-			chunk := (len(texts) + workers - 1) / workers
-			for lo := 0; lo < len(texts); lo += chunk {
-				hi := lo + chunk
-				if hi > len(texts) {
-					hi = len(texts)
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						classify(i)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		} else {
-			for i := range texts {
-				classify(i)
-			}
-		}
-		entries := make([]obligation, len(cs))
-		tab := make(map[forum.ContractID]*obligation, len(cs))
-		for i, c := range cs {
-			mk := results[slot[c.MakerObligation]]
-			tk := results[slot[c.TakerObligation]]
-			entries[i] = obligation{
-				MakerCats:     mk.cats,
-				TakerCats:     tk.cats,
-				MakerMethods:  mk.methods,
-				TakerMethods:  tk.methods,
-				makerCatMask:  mk.catMask,
-				takerCatMask:  tk.catMask,
-				makerMethMask: mk.methMask,
-				takerMethMask: tk.methMask,
-			}
-			tab[c.ID] = &entries[i]
-			if (mk.catMask|tk.catMask)&moneyMask != 0 {
-				g.money = append(g.money, c)
-			}
-		}
-		g.oblig = tab
+		g.oblig = make(map[forum.ContractID]*obligation, len(g.completedPublic))
+		g.classify(g.completedPublic)
 	})
 	return g.oblig
+}
+
+// minTextsPerWorker is the least work classify hands a goroutine. An
+// append batch of a few contracts then classifies inline: starting and
+// joining a worker would cost more than its share of the texts.
+const minTextsPerWorker = 64
+
+// classify installs an obligation entry for each of cs into g.oblig and
+// appends the money-movement ones to g.money, in cs order. Each distinct
+// obligation text is classified exactly once (corpora repeat template
+// text heavily), with the distinct texts split across a small worker
+// pool in fixed disjoint ranges of their first-appearance order, so the
+// table is identical at every worker count.
+func (g *corpusGroups) classify(cs []*forum.Contract) {
+	texts := make([]string, 0, 2*len(cs))
+	slot := make(map[string]int, 2*len(cs))
+	for _, c := range cs {
+		if _, ok := slot[c.MakerObligation]; !ok {
+			slot[c.MakerObligation] = len(texts)
+			texts = append(texts, c.MakerObligation)
+		}
+		if _, ok := slot[c.TakerObligation]; !ok {
+			slot[c.TakerObligation] = len(texts)
+			texts = append(texts, c.TakerObligation)
+		}
+	}
+	type classified struct {
+		cats     []textmine.Category
+		methods  []textmine.Method
+		catMask  uint32
+		methMask uint32
+	}
+	results := make([]classified, len(texts))
+	classifyText := func(i int) {
+		cats, methods := textmine.Classify(texts[i])
+		results[i] = classified{cats, methods, catMaskOf(cats), methMaskOf(methods)}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(texts)/minTextsPerWorker)
+	if workers > 1 {
+		var wg sync.WaitGroup
+		chunk := (len(texts) + workers - 1) / workers
+		for lo := 0; lo < len(texts); lo += chunk {
+			hi := lo + chunk
+			if hi > len(texts) {
+				hi = len(texts)
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					classifyText(i)
+				}
+			}(lo, hi)
+		}
+		wg.Wait()
+	} else {
+		for i := range texts {
+			classifyText(i)
+		}
+	}
+	entries := make([]obligation, len(cs))
+	for i, c := range cs {
+		mk := results[slot[c.MakerObligation]]
+		tk := results[slot[c.TakerObligation]]
+		entries[i] = obligation{
+			MakerCats:     mk.cats,
+			TakerCats:     tk.cats,
+			MakerMethods:  mk.methods,
+			TakerMethods:  tk.methods,
+			makerCatMask:  mk.catMask,
+			takerCatMask:  tk.catMask,
+			makerMethMask: mk.methMask,
+			takerMethMask: tk.methMask,
+		}
+		g.oblig[c.ID] = &entries[i]
+		if (mk.catMask|tk.catMask)&moneyMask != 0 {
+			g.money = append(g.money, c)
+		}
+	}
 }
 
 // moneyContracts returns the money-movement subset, forcing the

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"turnup"
 	"turnup/internal/analysis"
@@ -101,17 +102,114 @@ func TestIncrementalIndexGolden(t *testing.T) {
 		t.Fatal("appends mutated the parent snapshot: base report changed")
 	}
 
-	// Out-of-order append: a contract created before the watermark dirties
-	// history, so Append falls back to a rebuild — and must still match.
-	early := *contracts[base] // re-use a real contract's shape
-	early.ID = contracts[len(contracts)-1].ID + 1
-	early.Created = contracts[0].Created
-	ooo := []*forum.Contract{&early}
+	// Out-of-order append: a batch that predates the parent's newest
+	// contract and is unordered within itself. It adds a completed-public
+	// money contract to month 0 and moves an existing user's first era
+	// back to SET-UP, so history buckets, the obligation table and
+	// first-era-of-use all change — and the appended index must still
+	// match a rebuild.
+	money := parentIx.MoneyContracts()[0]
+	var later forum.UserID
+	for u, e := range parentIx.FirstEraOfUse() {
+		if e != dataset.EraSetup && (later == 0 || u < later) {
+			later = u
+		}
+	}
+	if later == 0 {
+		t.Fatal("corpus has no user first seen after SET-UP")
+	}
+	nextID := contracts[len(contracts)-1].ID + 1
+	setupMove := shifted(contracts[base], nextID+1, time.Date(2018, 11, 3, 0, 0, 0, 0, time.UTC))
+	setupMove.Maker = later
+	ooo := []*forum.Contract{
+		shifted(contracts[base+1], nextID+2, time.Date(2019, 8, 20, 0, 0, 0, 0, time.UTC)),
+		shifted(money, nextID, time.Date(2018, 6, 5, 0, 0, 0, 0, time.UTC)),
+		setupMove,
+	}
 	nd := ingest.Apply(parentD, &ingest.Batch{Contracts: ooo})
 	nix := parentIx.Append(nd, ooo)
+	if e := nix.FirstEraOfUse()[later]; e != dataset.EraSetup {
+		t.Fatalf("out-of-order append left user %d's first era at %v", later, e)
+	}
+	if mc := nix.MoneyContracts(); mc[len(mc)-1].ID != nextID || len(nix.ByMonth()[0]) != len(parentIx.ByMonth()[0])+1 {
+		t.Fatal("out-of-order append did not add the month-0 money contract")
+	}
 	assertIndexMatchesRebuild(t, nd, nix)
-	if got, want := renderSuite(t, nd, nix, 4), renderSuite(t, nd, analysis.RebuildIndex(nd), 1); got != want {
-		t.Fatal("out-of-order append: incremental report diverges from rebuild")
+	want := renderSuite(t, nd, analysis.RebuildIndex(nd), 1)
+	for _, w := range []int{1, 4} {
+		if got := renderSuite(t, nd, nix, w); got != want {
+			t.Fatalf("out-of-order append, workers %d: incremental report diverges from rebuild", w)
+		}
+	}
+}
+
+// shifted copies src under a new id, moved in time so it is created at
+// created; decision and completion times keep their offsets.
+func shifted(src *forum.Contract, id forum.ContractID, created time.Time) *forum.Contract {
+	c := *src
+	delta := created.Sub(c.Created)
+	c.ID = id
+	c.Created = created
+	if !c.Decided.IsZero() {
+		c.Decided = c.Decided.Add(delta)
+	}
+	if !c.Completed.IsZero() {
+		c.Completed = c.Completed.Add(delta)
+	}
+	return &c
+}
+
+// TestIndexAppendSiblingIsolation appends two children to one parent
+// with batches that land in the same month, era, completed-public,
+// money and per-user buckets, under the same contract ids. Appends into
+// a shared parent bucket's spare capacity, or into a shared map, would
+// let the second child overwrite the first one's entries; each child
+// must instead match its own rebuild, and the parent must be unchanged.
+func TestIndexAppendSiblingIsolation(t *testing.T) {
+	d, _, err := market.Generate(market.Config{Seed: 31, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := analysis.NewIndex(d)
+	baseReport := renderSuite(t, d, ix, 1)
+
+	money := ix.MoneyContracts()
+	if len(money) < 6 {
+		t.Fatalf("corpus has %d money contracts, want at least 6", len(money))
+	}
+	maker := money[0].Maker
+	at := time.Date(2019, 5, 15, 0, 0, 0, 0, time.UTC)
+	var maxID forum.ContractID
+	for _, c := range d.Contracts {
+		maxID = max(maxID, c.ID)
+	}
+	batch := func(src []*forum.Contract) []*forum.Contract {
+		out := make([]*forum.Contract, len(src))
+		for i, c := range src {
+			out[i] = shifted(c, maxID+1+forum.ContractID(i), at.Add(time.Duration(i)*time.Hour))
+			out[i].Maker = maker
+		}
+		return out
+	}
+	a, b := batch(money[:3]), batch(money[3:6])
+	da := ingest.Apply(d, &ingest.Batch{Contracts: a})
+	ixa := ix.Append(da, a)
+	db := ingest.Apply(d, &ingest.Batch{Contracts: b})
+	ixb := ix.Append(db, b)
+
+	assertIndexMatchesRebuild(t, da, ixa)
+	assertIndexMatchesRebuild(t, db, ixb)
+	assertIndexMatchesRebuild(t, d, ix)
+	for _, w := range []int{1, 4} {
+		if renderSuite(t, da, ixa, w) != renderSuite(t, da, analysis.RebuildIndex(da), 1) {
+			t.Fatalf("workers %d: first child's report diverges from its rebuild", w)
+		}
+		if renderSuite(t, db, ixb, w) != renderSuite(t, db, analysis.RebuildIndex(db), 1) {
+			t.Fatalf("workers %d: second child's report diverges from its rebuild", w)
+		}
+	}
+	if renderSuite(t, d, ix, 1) != baseReport {
+		t.Fatal("sibling appends changed the parent's report")
 	}
 }
 
@@ -151,15 +249,12 @@ func assertIndexMatchesRebuild(t *testing.T, d *dataset.Dataset, got *analysis.I
 	if !reflect.DeepEqual(got.MoneyContracts(), want.MoneyContracts()) {
 		t.Fatal("MoneyContracts diverges from rebuild")
 	}
-	for _, c := range d.CompletedPublic() {
+	for _, c := range want.CompletedPublic() {
 		if !reflect.DeepEqual(got.MakerCategories(c), want.MakerCategories(c)) {
 			t.Fatalf("contract %d: MakerCategories diverge from rebuild", c.ID)
 		}
 		if !reflect.DeepEqual(got.TakerCategories(c), want.TakerCategories(c)) {
 			t.Fatalf("contract %d: TakerCategories diverge from rebuild", c.ID)
 		}
-	}
-	if !got.MaxCreated().Equal(want.MaxCreated()) {
-		t.Fatalf("MaxCreated %v diverges from rebuild %v", got.MaxCreated(), want.MaxCreated())
 	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sync/atomic"
-	"time"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -60,18 +59,6 @@ type obligation struct {
 // over the same corpus through the dataset's derived cache.
 func NewIndex(d *dataset.Dataset) *Index { return &Index{D: d} }
 
-// RebuildIndex returns an Index over a freshly built set of derived
-// groups, bypassing — and not installing into — the dataset's shared
-// cache. Reference paths use it when "from scratch" must mean exactly
-// that: the incremental-index golden test compares an appended Index
-// against a RebuildIndex result, which the shared cache would otherwise
-// alias to the very groups under test.
-func RebuildIndex(d *dataset.Dataset) *Index {
-	ix := &Index{D: d}
-	ix.g.Store(buildGroups(d))
-	return ix
-}
-
 // groups resolves (and pins) the derived groups for this handle.
 func (ix *Index) groups() *corpusGroups {
 	if g := ix.g.Load(); g != nil {
@@ -126,13 +113,6 @@ func (ix *Index) UserContracts() map[forum.UserID][]*forum.Contract {
 // calls.
 func (ix *Index) FirstEraOfUse() map[forum.UserID]dataset.Era {
 	return ix.groups().firstEra
-}
-
-// MaxCreated returns the latest contract creation time in the corpus
-// (zero when empty) — the watermark Append's in-order check compares new
-// events against.
-func (ix *Index) MaxCreated() time.Time {
-	return ix.groups().maxCreated
 }
 
 // MakerCategories returns the memoized trading-activity categories of the
@@ -198,21 +178,4 @@ func (ix *Index) methodMask(c *forum.Contract) uint32 {
 // either side — the Table 4 / Figure 10 population.
 func (ix *Index) MoneyContracts() []*forum.Contract {
 	return ix.groups().moneyContracts()
-}
-
-// classifyContract builds a full obligation entry for one contract — the
-// incremental append path's per-new-contract classification.
-func classifyContract(c *forum.Contract) obligation {
-	var o obligation
-	o.MakerCats, o.MakerMethods = textmine.Classify(c.MakerObligation)
-	o.TakerCats, o.TakerMethods = textmine.Classify(c.TakerObligation)
-	o.makerCatMask = catMaskOf(o.MakerCats)
-	o.takerCatMask = catMaskOf(o.TakerCats)
-	o.makerMethMask = methMaskOf(o.MakerMethods)
-	o.takerMethMask = methMaskOf(o.TakerMethods)
-	return o
-}
-
-func isMoney(cats []textmine.Category) bool {
-	return catMaskOf(cats)&moneyMask != 0
 }

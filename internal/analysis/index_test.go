@@ -4,35 +4,73 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"turnup/internal/dataset"
+	"turnup/internal/forum"
 	"turnup/internal/textmine"
 )
 
+// scanGroups is the row-scan reference the Index groups are pinned to:
+// each group derived straight from the rows' own times and flags, with
+// no columnar projection involved.
+type scanGroups struct {
+	byMonth, completedByMonth          [dataset.NumMonths][]*forum.Contract
+	completed, public, completedPublic []*forum.Contract
+	inEra                              [dataset.NumEras][]*forum.Contract
+}
+
+func scanReference(d *dataset.Dataset) scanGroups {
+	var r scanGroups
+	for _, c := range d.Contracts {
+		m := dataset.MonthOf(c.Created)
+		r.byMonth[m] = append(r.byMonth[m], c)
+		if c.IsComplete() {
+			at := c.Completed
+			if at.IsZero() {
+				at = c.Created
+			}
+			cm := dataset.MonthOf(at)
+			r.completedByMonth[cm] = append(r.completedByMonth[cm], c)
+			r.completed = append(r.completed, c)
+		}
+		if c.Public {
+			r.public = append(r.public, c)
+			if c.IsComplete() {
+				r.completedPublic = append(r.completedPublic, c)
+			}
+		}
+		e := dataset.EraOf(c.Created)
+		r.inEra[e] = append(r.inEra[e], c)
+	}
+	return r
+}
+
 // TestIndexMatchesDatasetScans pins every index group to the ad-hoc
-// Dataset scan it replaced.
+// row scan it replaced.
 func TestIndexMatchesDatasetScans(t *testing.T) {
 	d := corpus(t)
 	ix := NewIndex(d)
+	ref := scanReference(d)
 
-	if got, want := ix.ByMonth(), d.ByMonth(); !reflect.DeepEqual(got, want) {
-		t.Error("ByMonth diverges from Dataset.ByMonth")
+	if !reflect.DeepEqual(ix.ByMonth(), ref.byMonth) {
+		t.Error("ByMonth diverges from the row scan")
 	}
-	if got, want := ix.CompletedByMonth(), d.CompletedByMonth(); !reflect.DeepEqual(got, want) {
-		t.Error("CompletedByMonth diverges from Dataset.CompletedByMonth")
+	if !reflect.DeepEqual(ix.CompletedByMonth(), ref.completedByMonth) {
+		t.Error("CompletedByMonth diverges from the row scan")
 	}
-	if got, want := ix.Completed(), d.Completed(); !reflect.DeepEqual(got, want) {
-		t.Error("Completed diverges from Dataset.Completed")
+	if !reflect.DeepEqual(ix.Completed(), ref.completed) {
+		t.Error("Completed diverges from the row scan")
 	}
-	if got, want := ix.Public(), d.Public(); !reflect.DeepEqual(got, want) {
-		t.Error("Public diverges from Dataset.Public")
+	if !reflect.DeepEqual(ix.Public(), ref.public) {
+		t.Error("Public diverges from the row scan")
 	}
-	if got, want := ix.CompletedPublic(), d.CompletedPublic(); !reflect.DeepEqual(got, want) {
-		t.Error("CompletedPublic diverges from Dataset.CompletedPublic")
+	if !reflect.DeepEqual(ix.CompletedPublic(), ref.completedPublic) {
+		t.Error("CompletedPublic diverges from the row scan")
 	}
 	for _, e := range dataset.Eras {
-		if got, want := ix.InEra(e), d.InEra(e); !reflect.DeepEqual(got, want) {
-			t.Errorf("InEra(%v) diverges from Dataset.InEra", e)
+		if !reflect.DeepEqual(ix.InEra(e), ref.inEra[e]) {
+			t.Errorf("InEra(%v) diverges from the row scan", e)
 		}
 	}
 
@@ -65,7 +103,7 @@ func TestIndexMatchesDatasetScans(t *testing.T) {
 func TestIndexCategoriesMatchDirect(t *testing.T) {
 	d := corpus(t)
 	ix := NewIndex(d)
-	for _, c := range d.CompletedPublic() {
+	for _, c := range ix.CompletedPublic() {
 		if got, want := ix.MakerCategories(c), textmine.Categorize(c.MakerObligation); !reflect.DeepEqual(got, want) {
 			t.Fatalf("contract %d: maker categories %v, direct %v", c.ID, got, want)
 		}
@@ -124,7 +162,7 @@ func TestIndexConcurrentConstruction(t *testing.T) {
 				case 6:
 					ix.MoneyContracts()
 				default:
-					ix.MakerCategories(d.CompletedPublic()[0])
+					ix.MakerCategories(ref.CompletedPublic()[0])
 				}
 			}(g)
 		}
@@ -136,5 +174,63 @@ func TestIndexConcurrentConstruction(t *testing.T) {
 		if !reflect.DeepEqual(ix.MoneyContracts(), ref.MoneyContracts()) {
 			t.Fatalf("round %d: MoneyContracts diverge between concurrent and serial builds", round)
 		}
+	}
+}
+
+// TestIndexGroupsHandComputed checks the Index accessors on a corpus
+// small enough to count by hand: a completed public sale in 2018-07
+// (SET-UP), a completed private exchange in 2019-04 (STABLE), and an
+// open public purchase in 2020-04 (COVID-19).
+func TestIndexGroupsHandComputed(t *testing.T) {
+	d := dataset.New()
+	for id := forum.UserID(1); id <= 4; id++ {
+		d.Users[id] = &forum.User{ID: id, Joined: dataset.SetupStart}
+	}
+	add := func(id int, typ forum.ContractType, maker, taker forum.UserID, created time.Time, public, complete bool) {
+		c, err := forum.NewContract(forum.ContractID(id), typ, maker, taker, created, public)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if complete {
+			for _, err := range []error{
+				c.Accept(created.Add(time.Hour)),
+				c.MarkComplete(forum.MakerParty, created.Add(2*time.Hour)),
+				c.MarkComplete(forum.TakerParty, created.Add(3*time.Hour)),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d.Contracts = append(d.Contracts, c)
+	}
+	add(1, forum.Sale, 1, 2, time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC), true, true)
+	add(2, forum.Exchange, 2, 3, time.Date(2019, 4, 1, 0, 0, 0, 0, time.UTC), false, true)
+	add(3, forum.Purchase, 3, 4, time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC), true, false)
+	ix := NewIndex(d)
+
+	if n := len(ix.Completed()); n != 2 {
+		t.Errorf("Completed = %d, want 2", n)
+	}
+	if n := len(ix.Public()); n != 2 {
+		t.Errorf("Public = %d, want 2", n)
+	}
+	if n := len(ix.CompletedPublic()); n != 1 {
+		t.Errorf("CompletedPublic = %d, want 1", n)
+	}
+	for e, want := range [dataset.NumEras]int{1, 1, 1} {
+		if n := len(ix.InEra(dataset.Era(e))); n != want {
+			t.Errorf("InEra(%v) = %d, want %d", dataset.Era(e), n, want)
+		}
+	}
+	if n := len(ix.ByMonth()[dataset.MonthOf(time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC))]); n != 1 {
+		t.Errorf("2018-07 bucket = %d, want 1", n)
+	}
+	total := 0
+	for _, bucket := range ix.CompletedByMonth() {
+		total += len(bucket)
+	}
+	if total != 2 {
+		t.Errorf("CompletedByMonth total = %d, want 2", total)
 	}
 }

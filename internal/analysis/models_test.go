@@ -10,7 +10,7 @@ import (
 
 func TestZIPAllUsersTableNine(t *testing.T) {
 	d := corpus(t)
-	results, err := ZIPAllUsers(d)
+	results, err := ZIPAllUsers(NewIndex(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestZIPAllUsersTableNine(t *testing.T) {
 
 func TestZIPSubgroupsTableTen(t *testing.T) {
 	d := corpus(t)
-	results, err := ZIPSubgroups(d)
+	results, err := ZIPSubgroups(NewIndex(d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,7 @@ type MonthlyGrowth struct {
 }
 
 // Growth computes Figure 1's four series.
-func Growth(d *dataset.Dataset) MonthlyGrowth { return growthIdx(NewIndex(d)) }
-
-func growthIdx(ix *Index) MonthlyGrowth {
+func Growth(ix *Index) MonthlyGrowth {
 	var g MonthlyGrowth
 	seenCreated := make(map[forum.UserID]bool)
 	seenCompleted := make(map[forum.UserID]bool)
@@ -55,9 +53,7 @@ type VisibilityTrend struct {
 }
 
 // PublicTrend computes Figure 2.
-func PublicTrend(d *dataset.Dataset) VisibilityTrend { return publicTrendIdx(NewIndex(d)) }
-
-func publicTrendIdx(ix *Index) VisibilityTrend {
+func PublicTrend(ix *Index) VisibilityTrend {
 	var t VisibilityTrend
 	byMonth := ix.ByMonth()
 	completedByMonth := ix.CompletedByMonth()
@@ -92,9 +88,7 @@ type TypeShares struct {
 }
 
 // TypeShareTrend computes Figure 3.
-func TypeShareTrend(d *dataset.Dataset) TypeShares { return typeShareTrendIdx(NewIndex(d)) }
-
-func typeShareTrendIdx(ix *Index) TypeShares {
+func TypeShareTrend(ix *Index) TypeShares {
 	var t TypeShares
 	byMonth := ix.ByMonth()
 	completedByMonth := ix.CompletedByMonth()

@@ -49,11 +49,7 @@ type DegreeGrowth struct {
 
 // DegreeGrowthTrend computes Figure 8 by growing the network month by
 // month. completedOnly selects the completed-contract variant.
-func DegreeGrowthTrend(d *dataset.Dataset, completedOnly bool) DegreeGrowth {
-	return degreeGrowthTrendIdx(NewIndex(d), completedOnly)
-}
-
-func degreeGrowthTrendIdx(ix *Index, completedOnly bool) DegreeGrowth {
+func DegreeGrowthTrend(ix *Index, completedOnly bool) DegreeGrowth {
 	var r DegreeGrowth
 	var buckets [dataset.NumMonths][]*forum.Contract
 	if completedOnly {
@@ -79,10 +75,10 @@ func degreeGrowthTrendIdx(ix *Index, completedOnly bool) DegreeGrowth {
 // structure: SET-UP is relatively flat (small users deal with one another,
 // power-users with power-users), while STABLE's business-to-customer shift
 // drives assortativity further negative (hubs serving the periphery).
-func AssortativityByEra(d *dataset.Dataset) map[dataset.Era]float64 {
+func AssortativityByEra(ix *Index) map[dataset.Era]float64 {
 	out := make(map[dataset.Era]float64, dataset.NumEras)
 	for _, e := range dataset.Eras {
-		cs := d.InEra(e)
+		cs := ix.InEra(e)
 		n := graph.Build(cs)
 		out[e] = graph.DegreeAssortativity(n, cs)
 	}

@@ -30,9 +30,7 @@ type SideParticipation struct {
 
 // Participation computes the maker/taker repeat-transaction distributions
 // over all contracts (the taker side counts entered deals only).
-func Participation(d *dataset.Dataset) ParticipationStats { return participationIdx(NewIndex(d)) }
-
-func participationIdx(ix *Index) ParticipationStats {
+func Participation(ix *Index) ParticipationStats {
 	makers := map[forum.UserID]int{}
 	takers := map[forum.UserID]int{}
 	for u, cs := range ix.UserContracts() {

@@ -8,7 +8,7 @@ import (
 
 func TestParticipationSectionFourThree(t *testing.T) {
 	d := corpus(t)
-	p := Participation(d)
+	p := Participation(NewIndex(d))
 	if p.Makers.Users == 0 || p.Takers.Users == 0 {
 		t.Fatal("no participants")
 	}
@@ -50,7 +50,7 @@ func TestParticipationSectionFourThree(t *testing.T) {
 
 func TestParticipationEmpty(t *testing.T) {
 	d := dataset.New()
-	p := Participation(d)
+	p := Participation(NewIndex(d))
 	if p.Makers.Users != 0 || p.Takers.Users != 0 {
 		t.Errorf("empty dataset participation: %+v", p)
 	}

@@ -25,9 +25,7 @@ type PaymentsResult struct {
 }
 
 // PaymentMethods computes Table 4.
-func PaymentMethods(d *dataset.Dataset) PaymentsResult { return paymentMethodsIdx(NewIndex(d)) }
-
-func paymentMethodsIdx(ix *Index) PaymentsResult {
+func PaymentMethods(ix *Index) PaymentsResult {
 	cs := ix.MoneyContracts()
 	type acc struct {
 		makerContracts, takerContracts, bothContracts int
@@ -140,10 +138,8 @@ type PaymentTrend struct {
 }
 
 // PaymentTrends computes Figure 10.
-func PaymentTrends(d *dataset.Dataset) PaymentTrend { return paymentTrendsIdx(NewIndex(d)) }
-
-func paymentTrendsIdx(ix *Index) PaymentTrend {
-	overall := paymentMethodsIdx(ix)
+func PaymentTrends(ix *Index) PaymentTrend {
+	overall := PaymentMethods(ix)
 	var top []textmine.Method
 	for _, row := range overall.Rows {
 		top = append(top, row.Method)

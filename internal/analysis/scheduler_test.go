@@ -14,8 +14,7 @@ import (
 
 // TestStageDAGIsValid pins the declared DAG's structural invariants: 29
 // stages, unique names, every dep declared, declaration order topological
-// (so Stages() is a valid schedule), no cycles, and the deprecated
-// StageNames alias derived from it.
+// (so Stages() is a valid schedule), and no cycles.
 func TestStageDAGIsValid(t *testing.T) {
 	stages := Stages()
 	if len(stages) != 29 {
@@ -69,14 +68,6 @@ func TestStageDAGIsValid(t *testing.T) {
 	}
 	if seen != len(stages) {
 		t.Errorf("topological sort consumed %d of %d stages: cycle in DAG", seen, len(stages))
-	}
-	// The deprecated alias is exactly the DAG's name sequence.
-	names := make([]string, len(stages))
-	for i, st := range stages {
-		names[i] = st.Name
-	}
-	if !reflect.DeepEqual(names, StageNames) {
-		t.Errorf("StageNames diverged from Stages():\n%v\nvs\n%v", StageNames, names)
 	}
 	// The declared cross-stage reads.
 	if !reflect.DeepEqual(stages[pos["ValueTrend"]].Deps, []string{"Values"}) {

@@ -90,9 +90,7 @@ const (
 
 // Values computes the full §4.5 value analysis (Table 5 and the
 // surrounding totals) from completed public contracts.
-func Values(d *dataset.Dataset) ValueReport { return valuesIdx(NewIndex(d)) }
-
-func valuesIdx(ix *Index) ValueReport {
+func Values(ix *Index) ValueReport {
 	d := ix.D
 	fxTab := fx.Default()
 	r := ValueReport{
@@ -316,11 +314,7 @@ type ValueTrend struct {
 }
 
 // ValueTrends computes Figure 11 from a previously computed ValueReport.
-func ValueTrends(d *dataset.Dataset, report ValueReport) ValueTrend {
-	return valueTrendsIdx(NewIndex(d), report)
-}
-
-func valueTrendsIdx(ix *Index, report ValueReport) ValueTrend {
+func ValueTrends(ix *Index, report ValueReport) ValueTrend {
 	t := ValueTrend{
 		ByType:     make(map[forum.ContractType][dataset.NumMonths]float64),
 		ByMethod:   make(map[textmine.Method][dataset.NumMonths]float64),

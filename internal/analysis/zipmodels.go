@@ -37,11 +37,7 @@ type ZIPEraResult struct {
 // ZIPAllUsers fits Table 9: the all-users model for each era. SET-UP has
 // no first-time covariate (everyone is a first-time user of the brand-new
 // system).
-func ZIPAllUsers(d *dataset.Dataset) ([]ZIPEraResult, error) {
-	return zipAllUsersIdx(NewIndex(d))
-}
-
-func zipAllUsersIdx(ix *Index) ([]ZIPEraResult, error) {
+func ZIPAllUsers(ix *Index) ([]ZIPEraResult, error) {
 	specs := make([]zipFitSpec, len(dataset.Eras))
 	for i, e := range dataset.Eras {
 		specs[i] = zipFitSpec{era: e, subset: "all", withFirstTime: e != dataset.EraSetup}
@@ -51,11 +47,7 @@ func zipAllUsersIdx(ix *Index) ([]ZIPEraResult, error) {
 
 // ZIPSubgroups fits Table 10: first-time and existing users separately for
 // STABLE and COVID-19.
-func ZIPSubgroups(d *dataset.Dataset) ([]ZIPEraResult, error) {
-	return zipSubgroupsIdx(NewIndex(d))
-}
-
-func zipSubgroupsIdx(ix *Index) ([]ZIPEraResult, error) {
+func ZIPSubgroups(ix *Index) ([]ZIPEraResult, error) {
 	var specs []zipFitSpec
 	for _, e := range []dataset.Era{dataset.EraStable, dataset.EraCovid} {
 		for _, subset := range []string{"first-time", "existing"} {

@@ -99,26 +99,23 @@ func (b *Block) Str(sp Span) string {
 func BuildBlock(cs []*forum.Contract) *Block {
 	n := len(cs)
 	b := &Block{
-		N:              n,
-		ID:             make([]int64, n),
-		Type:           make([]uint8, n),
-		Status:         make([]uint8, n),
-		Public:         make([]bool, n),
-		Maker:          make([]int32, n),
-		Taker:          make([]int32, n),
-		Thread:         make([]int64, n),
-		Created:        make([]int64, n),
-		Decided:        make([]int64, n),
-		Completed:      make([]int64, n),
-		MakerRating:    make([]int64, n),
-		TakerRating:    make([]int64, n),
-		MakerOb:        make([]Span, n),
-		TakerOb:        make([]Span, n),
-		BTC:            make([]Span, n),
-		Tx:             make([]Span, n),
-		Month:          make([]int8, n),
-		CompletedMonth: make([]int8, n),
-		Era:            make([]int8, n),
+		N:           n,
+		ID:          make([]int64, n),
+		Type:        make([]uint8, n),
+		Status:      make([]uint8, n),
+		Public:      make([]bool, n),
+		Maker:       make([]int32, n),
+		Taker:       make([]int32, n),
+		Thread:      make([]int64, n),
+		Created:     make([]int64, n),
+		Decided:     make([]int64, n),
+		Completed:   make([]int64, n),
+		MakerRating: make([]int64, n),
+		TakerRating: make([]int64, n),
+		MakerOb:     make([]Span, n),
+		TakerOb:     make([]Span, n),
+		BTC:         make([]Span, n),
+		Tx:          make([]Span, n),
 	}
 	strs := make(map[string]Span)
 	intern := func(s string) Span {
@@ -160,18 +157,8 @@ func BuildBlock(cs []*forum.Contract) *Block {
 		b.TakerOb[i] = intern(c.TakerObligation)
 		b.BTC[i] = intern(c.BTCAddress)
 		b.Tx[i] = intern(c.TxHash)
-		b.Month[i] = int8(MonthOf(c.Created))
-		if c.IsComplete() {
-			at := c.Completed
-			if at.IsZero() {
-				at = c.Created
-			}
-			b.CompletedMonth[i] = int8(MonthOf(at))
-		} else {
-			b.CompletedMonth[i] = -1
-		}
-		b.Era[i] = int8(EraOf(c.Created))
 	}
+	b.deriveScanColumns(cs)
 	return b
 }
 
@@ -245,9 +232,9 @@ func (b *Block) materialize() ([]*forum.Contract, error) {
 }
 
 // deriveScanColumns fills the Month/CompletedMonth/Era accelerator
-// columns from the materialised rows — the decode path, where no
-// original full-precision times exist (and none are needed: wire times
-// are already whole seconds).
+// columns from the rows: the source contracts when building, the
+// materialised ones when decoding (whose whole-second wire times bucket
+// the same way, since era and month boundaries are whole seconds).
 func (b *Block) deriveScanColumns(cs []*forum.Contract) {
 	b.Month = make([]int8, b.N)
 	b.CompletedMonth = make([]int8, b.N)

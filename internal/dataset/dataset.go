@@ -209,65 +209,6 @@ func New() *Dataset {
 	}
 }
 
-// Completed returns all fully completed contracts.
-func (d *Dataset) Completed() []*forum.Contract {
-	return d.Filter(func(c *forum.Contract) bool { return c.IsComplete() })
-}
-
-// Public returns all public contracts.
-func (d *Dataset) Public() []*forum.Contract {
-	return d.Filter(func(c *forum.Contract) bool { return c.Public })
-}
-
-// CompletedPublic returns completed public contracts — the subset every
-// obligation-text analysis runs on.
-func (d *Dataset) CompletedPublic() []*forum.Contract {
-	return d.Filter(func(c *forum.Contract) bool { return c.Public && c.IsComplete() })
-}
-
-// InEra returns contracts created within era e.
-func (d *Dataset) InEra(e Era) []*forum.Contract {
-	return d.Filter(func(c *forum.Contract) bool { return EraOf(c.Created) == e })
-}
-
-// Filter returns contracts satisfying keep.
-func (d *Dataset) Filter(keep func(*forum.Contract) bool) []*forum.Contract {
-	var out []*forum.Contract
-	for _, c := range d.Contracts {
-		if keep(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// ByMonth buckets contracts by creation month.
-func (d *Dataset) ByMonth() [NumMonths][]*forum.Contract {
-	var out [NumMonths][]*forum.Contract
-	for _, c := range d.Contracts {
-		m := MonthOf(c.Created)
-		out[m] = append(out[m], c)
-	}
-	return out
-}
-
-// CompletedByMonth buckets completed contracts by completion month (falling
-// back to creation month when the completion date is missing).
-func (d *Dataset) CompletedByMonth() [NumMonths][]*forum.Contract {
-	var out [NumMonths][]*forum.Contract
-	for _, c := range d.Contracts {
-		if !c.IsComplete() {
-			continue
-		}
-		at := c.Completed
-		if at.IsZero() {
-			at = c.Created
-		}
-		out[MonthOf(at)] = append(out[MonthOf(at)], c)
-	}
-	return out
-}
-
 // Stats summarises the corpus for logging.
 type Stats struct {
 	Users, Threads, Posts, Contracts int

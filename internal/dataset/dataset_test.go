@@ -118,38 +118,86 @@ func seedDataset(t *testing.T) *Dataset {
 	return d
 }
 
-func TestDatasetFilters(t *testing.T) {
+// seedBlocks returns the seed corpus's scan columns as built and as
+// recomputed by the binary decode path; both must bucket identically.
+func seedBlocks(t *testing.T) map[string]*Block {
+	t.Helper()
 	d := seedDataset(t)
-	if n := len(d.Completed()); n != 2 {
-		t.Errorf("Completed = %d", n)
+	var buf bytes.Buffer
+	if err := d.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if n := len(d.Public()); n != 2 {
-		t.Errorf("Public = %d", n)
+	got, err := DecodeBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(d.CompletedPublic()); n != 1 {
-		t.Errorf("CompletedPublic = %d", n)
+	out := map[string]*Block{}
+	for name, ds := range map[string]*Dataset{"built": d, "decoded": got} {
+		cols := ds.Columns()
+		if len(cols.Blocks) != 1 {
+			t.Fatalf("%s: %d blocks, want 1", name, len(cols.Blocks))
+		}
+		out[name] = cols.Blocks[0]
 	}
-	if n := len(d.InEra(EraSetup)); n != 1 {
-		t.Errorf("InEra(SET-UP) = %d", n)
-	}
-	if n := len(d.InEra(EraCovid)); n != 1 {
-		t.Errorf("InEra(COVID) = %d", n)
+	return out
+}
+
+func TestDatasetFilters(t *testing.T) {
+	for name, b := range seedBlocks(t) {
+		var completed, public, completedPublic int
+		var eras [NumEras]int
+		for i := 0; i < b.N; i++ {
+			done := b.CompletedMonth[i] >= 0
+			if done != (forum.Status(b.Status[i]) == forum.StatusCompleted) {
+				t.Errorf("%s row %d: CompletedMonth %d disagrees with status %v",
+					name, i, b.CompletedMonth[i], forum.Status(b.Status[i]))
+			}
+			if done {
+				completed++
+			}
+			if b.Public[i] {
+				public++
+				if done {
+					completedPublic++
+				}
+			}
+			eras[b.Era[i]]++
+		}
+		if completed != 2 {
+			t.Errorf("%s: Completed = %d", name, completed)
+		}
+		if public != 2 {
+			t.Errorf("%s: Public = %d", name, public)
+		}
+		if completedPublic != 1 {
+			t.Errorf("%s: CompletedPublic = %d", name, completedPublic)
+		}
+		if eras[EraSetup] != 1 {
+			t.Errorf("%s: InEra(SET-UP) = %d", name, eras[EraSetup])
+		}
+		if eras[EraCovid] != 1 {
+			t.Errorf("%s: InEra(COVID) = %d", name, eras[EraCovid])
+		}
 	}
 }
 
 func TestByMonth(t *testing.T) {
-	d := seedDataset(t)
-	months := d.ByMonth()
-	if len(months[MonthOf(time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC))]) != 1 {
-		t.Error("2018-07 bucket empty")
-	}
-	completed := d.CompletedByMonth()
-	total := 0
-	for _, bucket := range completed {
-		total += len(bucket)
-	}
-	if total != 2 {
-		t.Errorf("CompletedByMonth total = %d", total)
+	july := MonthOf(time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC))
+	for name, b := range seedBlocks(t) {
+		var months [NumMonths]int
+		total := 0
+		for i := 0; i < b.N; i++ {
+			months[b.Month[i]]++
+			if b.CompletedMonth[i] >= 0 {
+				total++
+			}
+		}
+		if months[july] != 1 {
+			t.Errorf("%s: 2018-07 bucket = %d", name, months[july])
+		}
+		if total != 2 {
+			t.Errorf("%s: CompletedByMonth total = %d", name, total)
+		}
 	}
 }
 

@@ -132,22 +132,27 @@ func TestCompletionRatesMatchTableOne(t *testing.T) {
 
 func TestVisibilityShares(t *testing.T) {
 	d, _ := generated(t)
-	public := float64(len(d.Public()))
+	var nPublic, nCompleted, pubCompleted int
+	for _, c := range d.Contracts {
+		if c.Public {
+			nPublic++
+		}
+		if c.IsComplete() {
+			nCompleted++
+			if c.Public {
+				pubCompleted++
+			}
+		}
+	}
+	public := float64(nPublic)
 	total := float64(len(d.Contracts))
 	if share := public / total; share < 0.09 || share > 0.18 {
 		t.Errorf("public share = %.3f, want ~0.12-0.15", share)
 	}
 	// Completed public share exceeds created public share (public deals
 	// settle more often).
-	completed := d.Completed()
-	pubCompleted := 0
-	for _, c := range completed {
-		if c.Public {
-			pubCompleted++
-		}
-	}
 	createdShare := public / total
-	completedShare := float64(pubCompleted) / float64(len(completed))
+	completedShare := float64(pubCompleted) / float64(nCompleted)
 	if completedShare <= createdShare {
 		t.Errorf("completed public share %.3f not above created %.3f", completedShare, createdShare)
 	}
@@ -156,14 +161,17 @@ func TestVisibilityShares(t *testing.T) {
 func TestVisibilityDeclinesAcrossEras(t *testing.T) {
 	d, _ := generated(t)
 	shareIn := func(e dataset.Era) float64 {
-		cs := d.InEra(e)
-		pub := 0
-		for _, c := range cs {
+		n, pub := 0, 0
+		for _, c := range d.Contracts {
+			if dataset.EraOf(c.Created) != e {
+				continue
+			}
+			n++
 			if c.Public {
 				pub++
 			}
 		}
-		return float64(pub) / float64(len(cs))
+		return float64(pub) / float64(n)
 	}
 	setup, stable := shareIn(dataset.EraSetup), shareIn(dataset.EraStable)
 	if setup < stable+0.1 {
@@ -173,8 +181,11 @@ func TestVisibilityDeclinesAcrossEras(t *testing.T) {
 
 func TestMonthlyVolumeShape(t *testing.T) {
 	d, _ := generated(t)
-	byMonth := d.ByMonth()
-	count := func(m int) int { return len(byMonth[m]) }
+	var byMonth [dataset.NumMonths]int
+	for _, c := range d.Contracts {
+		byMonth[dataset.MonthOf(c.Created)]++
+	}
+	count := func(m int) int { return byMonth[m] }
 	// The mandatory-contracts jump: March 2019 (month 9) far above Feb 2019 (8).
 	if count(9) < 2*count(8) {
 		t.Errorf("no mandatory-contract jump: feb=%d mar=%d", count(8), count(9))
@@ -202,7 +213,13 @@ func TestVouchCopyOnlyFromFebruary2020(t *testing.T) {
 		}
 	}
 	// And it does exist after introduction.
-	if n := len(d.Filter(func(c *forum.Contract) bool { return c.Type == forum.VouchCopy })); n == 0 {
+	n := 0
+	for _, c := range d.Contracts {
+		if c.Type == forum.VouchCopy {
+			n++
+		}
+	}
+	if n == 0 {
 		t.Fatal("no VOUCH COPY contracts at all")
 	}
 }
@@ -292,15 +309,18 @@ func TestPrivateContractsHideObligations(t *testing.T) {
 		}
 	}
 	// Public completed contracts do carry text.
-	withText := 0
-	cp := d.CompletedPublic()
-	for _, c := range cp {
+	withText, nCP := 0, 0
+	for _, c := range d.Contracts {
+		if !c.Public || !c.IsComplete() {
+			continue
+		}
+		nCP++
 		if c.MakerObligation != "" {
 			withText++
 		}
 	}
-	if float64(withText) < 0.9*float64(len(cp)) {
-		t.Errorf("only %d/%d completed public contracts have text", withText, len(cp))
+	if float64(withText) < 0.9*float64(nCP) {
+		t.Errorf("only %d/%d completed public contracts have text", withText, nCP)
 	}
 }
 

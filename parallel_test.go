@@ -3,7 +3,6 @@ package turnup
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -138,15 +137,6 @@ func TestSectionRegistry(t *testing.T) {
 // every declared stage name round-trips through RunOptions.Stages.
 func TestStagesAPICoversSuite(t *testing.T) {
 	stages := analysis.Stages()
-	if !reflect.DeepEqual(analysis.StageNames, func() []string {
-		names := make([]string, len(stages))
-		for i, st := range stages {
-			names[i] = st.Name
-		}
-		return names
-	}()) {
-		t.Error("StageNames alias diverged from Stages()")
-	}
 	d, _ := apiSuite(t)
 	for _, st := range stages {
 		if st.Model {

@@ -136,9 +136,9 @@ func SectionStages(names ...string) ([]string, error) {
 		}
 	}
 	stages := make([]string, 0, len(want))
-	for _, name := range analysis.StageNames {
-		if want[name] {
-			stages = append(stages, name)
+	for _, st := range analysis.Stages() {
+		if want[st.Name] {
+			stages = append(stages, st.Name)
 		}
 	}
 	return stages, nil
