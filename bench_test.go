@@ -645,7 +645,9 @@ func BenchmarkAblationLCASelection(b *testing.B) {
 	}
 }
 
-// Regex bucketiser vs the exact-token baseline classifier.
+// Rule bucketiser vs the exact-token baseline classifier. The rule
+// bucketiser is now a keyword scan equivalent to the regex rules it
+// replaced; the "Regex" benchmark keeps its name so snapshots compare.
 func ablationTexts(b *testing.B) []string {
 	b.Helper()
 	d := benchCorpus(b)

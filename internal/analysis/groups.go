@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"runtime"
 	"sync"
 
 	"turnup/internal/dataset"
@@ -170,68 +169,31 @@ func (g *corpusGroups) obligations() map[forum.ContractID]*obligation {
 	return g.oblig
 }
 
-// minTextsPerWorker is the least work classify hands a goroutine. An
-// append batch of a few contracts then classifies inline: starting and
-// joining a worker would cost more than its share of the texts.
-const minTextsPerWorker = 64
-
 // classify installs an obligation entry for each of cs into g.oblig and
 // appends the money-movement ones to g.money, in cs order. Each distinct
 // obligation text is classified exactly once (corpora repeat template
-// text heavily), with the distinct texts split across a small worker
-// pool in fixed disjoint ranges of their first-appearance order, so the
-// table is identical at every worker count.
+// text heavily).
 func (g *corpusGroups) classify(cs []*forum.Contract) {
-	texts := make([]string, 0, 2*len(cs))
-	slot := make(map[string]int, 2*len(cs))
-	for _, c := range cs {
-		if _, ok := slot[c.MakerObligation]; !ok {
-			slot[c.MakerObligation] = len(texts)
-			texts = append(texts, c.MakerObligation)
-		}
-		if _, ok := slot[c.TakerObligation]; !ok {
-			slot[c.TakerObligation] = len(texts)
-			texts = append(texts, c.TakerObligation)
-		}
-	}
 	type classified struct {
 		cats     []textmine.Category
 		methods  []textmine.Method
 		catMask  uint32
 		methMask uint32
 	}
-	results := make([]classified, len(texts))
-	classifyText := func(i int) {
-		cats, methods := textmine.Classify(texts[i])
-		results[i] = classified{cats, methods, catMaskOf(cats), methMaskOf(methods)}
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(texts)/minTextsPerWorker)
-	if workers > 1 {
-		var wg sync.WaitGroup
-		chunk := (len(texts) + workers - 1) / workers
-		for lo := 0; lo < len(texts); lo += chunk {
-			hi := lo + chunk
-			if hi > len(texts) {
-				hi = len(texts)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					classifyText(i)
-				}
-			}(lo, hi)
+	results := make(map[string]classified, 2*len(cs))
+	lookup := func(text string) classified {
+		r, ok := results[text]
+		if !ok {
+			cats, methods := textmine.Classify(text)
+			r = classified{cats, methods, catMaskOf(cats), methMaskOf(methods)}
+			results[text] = r
 		}
-		wg.Wait()
-	} else {
-		for i := range texts {
-			classifyText(i)
-		}
+		return r
 	}
 	entries := make([]obligation, len(cs))
 	for i, c := range cs {
-		mk := results[slot[c.MakerObligation]]
-		tk := results[slot[c.TakerObligation]]
+		mk := lookup(c.MakerObligation)
+		tk := lookup(c.TakerObligation)
 		entries[i] = obligation{
 			MakerCats:     mk.cats,
 			TakerCats:     tk.cats,

@@ -229,7 +229,49 @@ func TestLogisticRegressionBitExact(t *testing.T) {
 	}
 }
 
+// eraModelData mimics the era models' designs (internal/analysis
+// fitZIP): an intercept, square roots of per-user counts that are
+// nonzero for about three users in four, a first-time 0/1 flag and a
+// length in days in both blocks; the response is completed contracts.
+func eraModelData(src *rng.Source, n int) (countX *Matrix, y []float64, zeroX *Matrix) {
+	countX = NewMatrix(n, 9)
+	zeroX = NewMatrix(n, 5)
+	y = make([]float64, n)
+	sqrtCount := func(mean float64) float64 {
+		if !src.Bool(0.75) {
+			return 0
+		}
+		return math.Sqrt(float64(1 + src.Poisson(mean)))
+	}
+	for i := 0; i < n; i++ {
+		disputes, neg := sqrtCount(0.5), sqrtCount(0.8)
+		ft := 0.0
+		if src.Bool(0.3) {
+			ft = 1
+		}
+		length := float64(1 + src.Intn(600))
+		for j, v := range []float64{1, disputes, sqrtCount(4), neg, sqrtCount(6), sqrtCount(3), sqrtCount(3), ft, length} {
+			countX.Set(i, j, v)
+		}
+		for j, v := range []float64{1, disputes, neg, ft, length} {
+			zeroX.Set(i, j, v)
+		}
+		mu := math.Exp(0.1 + 0.3*countX.At(i, 5) + 0.2*countX.At(i, 6) + 0.1*countX.At(i, 2) - 0.4*ft + 0.001*length)
+		pi := 1 / (1 + math.Exp(-(-0.8 + 0.6*disputes + 0.9*ft - 0.002*length)))
+		if !src.Bool(pi) {
+			y[i] = float64(src.Poisson(mu))
+		}
+	}
+	return countX, y, zeroX
+}
+
 func TestZIPRegressionBitExact(t *testing.T) {
+	type design struct {
+		name          string
+		countX, zeroX *Matrix
+		y             []float64
+	}
+	var cases []design
 	for _, c := range []struct {
 		name        string
 		seed        uint64
@@ -240,6 +282,14 @@ func TestZIPRegressionBitExact(t *testing.T) {
 		{"zero-heavy", 42, []float64{0.2, 0.4, 0.1, -0.2}, []float64{1.8, 0.6, -0.4}},
 	} {
 		countX, y, zeroX := simulateZIP(rng.New(c.seed), 900, c.beta, c.gamma)
+		cases = append(cases, design{c.name, countX, zeroX, y})
+	}
+	// The era models' shape (p=9, q=5) makes 180 of the numerical
+	// Hessian's 392 probes mixed count×zero ones.
+	countX, y, zeroX := eraModelData(rng.New(43), 700)
+	cases = append(cases, design{"era-model", countX, zeroX, y})
+	for _, c := range cases {
+		countX, y, zeroX := c.countX, c.y, c.zeroX
 		cn := make([]string, countX.Cols)
 		zn := make([]string, zeroX.Cols)
 		got, err := ZIPRegression(countX, y, zeroX, cn, zn)
@@ -270,16 +320,36 @@ func TestZIPRegressionBitExact(t *testing.T) {
 
 func TestXtWXBitExact(t *testing.T) {
 	src := rng.New(51)
-	// Exact zeros in both the weights and the design exercise the skips.
-	for _, n := range []int{300, 301} {
-		for _, p := range []int{1, 2, 9} {
+	negZero := math.Copysign(0, -1)
+	// Row counts cover every remainder of the four-row blocks, and rows
+	// fewer than one block. Exact zeros (of both signs) in the weights and
+	// the design, and a zero-heavy column, pin that the kernel's unskipped
+	// ±0 terms leave every entry as the reference's skips do.
+	for _, n := range []int{1, 2, 3, 4, 5, 300, 301, 302, 303} {
+		for _, p := range []int{1, 2, 4, 5, 8, 9} {
 			x := randomDesign(src, n, p)
 			for i := 0; i < x.Rows; i += 7 {
 				x.Set(i, p/2, 0)
 			}
+			for i := 3; i < x.Rows; i += 11 {
+				x.Set(i, p-1, negZero)
+			}
+			if p > 2 {
+				for i := 0; i < x.Rows; i++ {
+					v := 0.0
+					if src.Bool(0.2) {
+						v = math.Sqrt(float64(1 + src.Poisson(2)))
+					}
+					x.Set(i, 1, v)
+				}
+			}
 			w := make([]float64, x.Rows)
 			for i := range w {
-				if i%5 != 0 {
+				switch {
+				case i%5 == 0:
+				case i%13 == 1:
+					w[i] = negZero
+				default:
 					w[i] = src.Float64()
 				}
 			}
@@ -313,3 +383,18 @@ func BenchmarkZIPRegression(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkXtWX(b *testing.B) {
+	src := rng.New(63)
+	x := randomDesign(src, 800, 9)
+	w := make([]float64, x.Rows)
+	for i := range w {
+		w[i] = src.Float64()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gramSink = XtWX(x, w)
+	}
+}
+
+var gramSink *Matrix

@@ -66,29 +66,45 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 
 // XtWX computes Xᵀ·diag(w)·X, the weighted Gram matrix at the heart of
 // every IRLS iteration. w may be nil for unit weights. Each entry sums
-// its row contributions in row order.
+// its row contributions in row order, four rows per load and store of
+// the entry. Zero weights and zero design entries are not skipped: for
+// finite inputs their ±0 terms leave every entry bit-identical, because
+// the entries start at +0 and round-to-nearest addition never turns +0
+// into −0.
 func XtWX(x *Matrix, w []float64) *Matrix {
 	p := x.Cols
 	out := NewMatrix(p, p)
-	for i := 0; i < x.Rows; i++ {
-		wi := 1.0
-		if w != nil {
-			wi = w[i]
+	weight := func(i int) float64 {
+		if w == nil {
+			return 1
 		}
-		if wi == 0 {
-			continue
-		}
-		row := x.Row(i)
-		for a, xa := range row {
-			ra := wi * xa
-			if ra == 0 {
-				continue
-			}
-			// The upper triangle of output row a takes ra·row[a:];
-			// equal-length reslices let the compiler drop bounds checks.
-			tail := row[a:]
+		return w[i]
+	}
+	i := 0
+	for ; i+4 <= x.Rows; i += 4 {
+		x0, x1, x2, x3 := x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3)
+		w0, w1, w2, w3 := weight(i), weight(i+1), weight(i+2), weight(i+3)
+		for a := 0; a < p; a++ {
+			r0, r1, r2, r3 := w0*x0[a], w1*x1[a], w2*x2[a], w3*x3[a]
+			// The upper triangle of output row a takes the rows' tails
+			// from column a; equal-length reslices let the compiler drop
+			// bounds checks.
 			dst := out.Data[a*p+a : a*p+p]
-			dst = dst[:len(tail)]
+			t0, t1, t2, t3 := x0[a:], x1[a:], x2[a:], x3[a:]
+			t0, t1, t2, t3 = t0[:len(dst)], t1[:len(dst)], t2[:len(dst)], t3[:len(dst)]
+			for b := range dst {
+				dst[b] = dst[b] + r0*t0[b] + r1*t1[b] + r2*t2[b] + r3*t3[b]
+			}
+		}
+	}
+	for ; i < x.Rows; i++ {
+		row := x.Row(i)
+		wi := weight(i)
+		for a := 0; a < p; a++ {
+			ra := wi * row[a]
+			dst := out.Data[a*p+a : a*p+p]
+			tail := row[a:]
+			tail = tail[:len(dst)]
 			for b, xb := range tail {
 				dst[b] += ra * xb
 			}

@@ -240,40 +240,126 @@ func (z *zipData) logLik(beta, gamma []float64) float64 {
 	return lik
 }
 
+// countTerms writes row i's count-side log-likelihood factor under beta
+// to dst[i]: exp(-mu) for a zero response, the Poisson log-PMF otherwise.
+// It returns dst.
+func (z *zipData) countTerms(beta, dst []float64) []float64 {
+	for i, v := range z.y {
+		mu := z.mu(i, beta)
+		if v == 0 {
+			dst[i] = math.Exp(-mu)
+		} else {
+			dst[i] = poissonLogPMFLg(int(v), mu, z.lg[i])
+		}
+	}
+	return dst
+}
+
+// zeroTerms writes row i's zero-side log-likelihood factor under gamma to
+// dst[i]: pi for a zero response, log1p(-pi) otherwise. It returns dst.
+func (z *zipData) zeroTerms(gamma, dst []float64) []float64 {
+	for i, v := range z.y {
+		pi := z.pi(i, gamma)
+		if v == 0 {
+			dst[i] = pi
+		} else {
+			dst[i] = math.Log1p(-pi)
+		}
+	}
+	return dst
+}
+
+// combine sums, in row order, the ZIP log-likelihood terms made from
+// count-side and zero-side factors: the operations zipLogPMFLg performs
+// on the same pi and mu, so the sum equals logLik bit for bit.
+func (z *zipData) combine(count, zero []float64) float64 {
+	lik := 0.0
+	for i, v := range z.y {
+		if v == 0 {
+			pi := zero[i]
+			lik += math.Log(pi + (1-pi)*count[i])
+		} else {
+			lik += zero[i] + count[i]
+		}
+	}
+	return lik
+}
+
 // stdErrs computes sqrt(diag(inv(-H))) where H is the numerically
 // differentiated Hessian of the ZIP log-likelihood at (beta, gamma).
+//
+// Each probe evaluates the log-likelihood at theta with one or two
+// coordinates stepped. Count factors depend on beta alone and zero
+// factors on gamma alone, so the factors of every single-coordinate step
+// are tabulated once: the diagonal and the mixed count×zero probes are
+// then table sums, and a probe stepping two coordinates of one block
+// recomputes only that block's factors.
 func (z *zipData) stdErrs(beta, gamma []float64) ([]float64, error) {
 	p, q := len(beta), len(gamma)
 	k := p + q
+	n := len(z.y)
 	theta := make([]float64, k)
 	copy(theta, beta)
 	copy(theta[p:], gamma)
-
-	f0 := z.logLik(beta, gamma)
-	t := make([]float64, k)
-	// eval is the log-likelihood at theta with da added to coordinate a
-	// and then db to coordinate b.
-	eval := func(a, b int, da, db float64) float64 {
-		copy(t, theta)
-		t[a] += da
-		t[b] += db
-		return z.logLik(t[:p], t[p:])
-	}
-
-	h := NewMatrix(k, k)
 	step := make([]float64, k)
 	for j := 0; j < k; j++ {
 		step[j] = 1e-4 * (math.Abs(theta[j]) + 1e-2)
 	}
+
+	t := make([]float64, k)
+	// terms tabulates the factors of the block holding coordinate b at t.
+	terms := func(b int, dst []float64) []float64 {
+		if b < p {
+			return z.countTerms(t[:p], dst)
+		}
+		return z.zeroTerms(t[p:], dst)
+	}
+	base := [2][]float64{z.countTerms(beta, make([]float64, n)), z.zeroTerms(gamma, make([]float64, n))}
+	// single[j][s] holds coordinate j's block factors with step[j] added
+	// (s = 0) or subtracted (s = 1). A diagonal probe adds its step and
+	// then +0, which leaves the stepped coordinate unchanged, since a
+	// nonzero step never sums to −0.
+	single := make([][2][]float64, k)
+	for j := 0; j < k; j++ {
+		for s, d := range [2]float64{step[j], -step[j]} {
+			copy(t, theta)
+			t[j] += d
+			single[j][s] = terms(j, make([]float64, n))
+		}
+	}
+	// withBase is the log-likelihood when coordinate j's block has
+	// factors f and the other block is at theta.
+	withBase := func(j int, f []float64) float64 {
+		if j < p {
+			return z.combine(f, base[1])
+		}
+		return z.combine(base[0], f)
+	}
+	scratch := make([]float64, n)
+	// pair is the log-likelihood at theta with da added to coordinate a
+	// and then db to coordinate b, both in a's block.
+	pair := func(a, b int, da, db float64) float64 {
+		copy(t, theta)
+		t[a] += da
+		t[b] += db
+		return withBase(a, terms(a, scratch))
+	}
+	f0 := z.combine(base[0], base[1])
+
+	h := NewMatrix(k, k)
 	// Central-difference Hessian.
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
 			ha, hb := step[a], step[b]
 			var v float64
-			if a == b {
-				v = (eval(a, a, ha, 0) - 2*f0 + eval(a, a, -ha, 0)) / (ha * ha)
-			} else {
-				v = (eval(a, b, ha, hb) - eval(a, b, ha, -hb) - eval(a, b, -ha, hb) + eval(a, b, -ha, -hb)) / (4 * ha * hb)
+			switch {
+			case a == b:
+				v = (withBase(a, single[a][0]) - 2*f0 + withBase(a, single[a][1])) / (ha * ha)
+			case a < p && b >= p:
+				ap, am, bp, bm := single[a][0], single[a][1], single[b][0], single[b][1]
+				v = (z.combine(ap, bp) - z.combine(ap, bm) - z.combine(am, bp) + z.combine(am, bm)) / (4 * ha * hb)
+			default:
+				v = (pair(a, b, ha, hb) - pair(a, b, ha, -hb) - pair(a, b, -ha, hb) + pair(a, b, -ha, -hb)) / (4 * ha * hb)
 			}
 			h.Set(a, b, v)
 			h.Set(b, a, v)

@@ -33,9 +33,9 @@ func TestClassifyMatchesSeparateCalls(t *testing.T) {
 }
 
 // TestCategorizeConcurrent hammers the categoriser from many goroutines.
-// The rule tables are package-level regexps shared by every caller —
-// under -race this pins that classification is safe to run from the
-// analysis index's worker pool and from concurrent suite stages.
+// The keyword rule tables are package-level slices shared by every
+// caller — under -race this pins that classification only reads them,
+// so it is safe to run from concurrent suite stages.
 func TestCategorizeConcurrent(t *testing.T) {
 	want := make([][]Category, len(concurrencyTexts))
 	for i, text := range concurrencyTexts {

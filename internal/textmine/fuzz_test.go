@@ -1,6 +1,10 @@
 package textmine
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // FuzzExtractValues ensures arbitrary text never panics the extractor and
 // always yields non-negative, denominated amounts.
@@ -48,4 +52,56 @@ func FuzzCategorize(f *testing.F) {
 			seen[c] = true
 		}
 	})
+}
+
+// classifyMatchesRegex fails t unless the keyword scan and the regex-era
+// reference classifier agree on text's categories and methods.
+func classifyMatchesRegex(t *testing.T, text string) {
+	t.Helper()
+	cats, methods := Classify(text)
+	wantCats, wantMethods := refClassify(text)
+	if !reflect.DeepEqual(cats, wantCats) || !reflect.DeepEqual(methods, wantMethods) {
+		t.Fatalf("Classify(%q) = %v %v, regex reference %v %v", text, cats, methods, wantCats, wantMethods)
+	}
+}
+
+// FuzzClassifyMatchesRegex requires the keyword scan to classify every
+// input exactly as the regular expressions it replaced did.
+func FuzzClassifyMatchesRegex(f *testing.F) {
+	for _, seed := range concurrencyTexts {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		"_rat", "rat_", "9rat", "raté", "advertisement", "cs go",
+		"video editing", "bitcoin cash btc", "bch bitcoin",
+		"bitcoin cash or bitcoin cash",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(classifyMatchesRegex)
+}
+
+// TestClassifyMatchesRegexAtWordEdges puts every keyword of every rule,
+// once and twice, between neighbours on each side of RE2's \b (word
+// bytes, non-word ASCII, a non-ASCII letter and space, invalid UTF-8, the
+// ends of the text) and requires the regex-era answer.
+func TestClassifyMatchesRegexAtWordEdges(t *testing.T) {
+	var words []string
+	for _, r := range catRules {
+		words = append(words, r.words...)
+	}
+	for _, r := range methodRules {
+		words = append(words, r.words...)
+	}
+	edges := []string{"", " ", "-", "_", "9", "s", "é", "\xff", "\u00a0"}
+	for _, w := range words {
+		w = strings.TrimSuffix(w, "*")
+		for _, l := range edges {
+			for _, r := range edges {
+				classifyMatchesRegex(t, l+w+r)
+				classifyMatchesRegex(t, l+w+r+w+r)
+				classifyMatchesRegex(t, "bitcoin cash "+l+w+r+" for btc")
+			}
+		}
+	}
 }

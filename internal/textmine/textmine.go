@@ -1,8 +1,8 @@
 // Package textmine classifies contract obligation text the way the paper
 // does (§4.3–§4.5): normalisation (lower-casing, delimiter and stop-word
-// removal, synonym unification), regex bucketing into manually defined
-// trading-activity categories and payment methods, and extraction of
-// quoted trading values with their currency denominations.
+// removal, synonym unification), keyword-rule bucketing into manually
+// defined trading-activity categories and payment methods, and extraction
+// of quoted trading values with their currency denominations.
 package textmine
 
 import (
@@ -17,8 +17,8 @@ import (
 // Category is a trading-activity bucket from the paper's Table 3.
 type Category string
 
-// The trading-activity buckets. Uncategorised marks text too short or
-// ambiguous to classify.
+// The trading-activity buckets. Uncategorised marks text that no
+// bucket's rule matches.
 const (
 	CurrencyExchange Category = "currency exchange"
 	Payments         Category = "payments"
@@ -130,56 +130,132 @@ func ContentTokens(text string) []string {
 	return out
 }
 
+// A rule's keywords each match as a whole word of the normalised text:
+// the bytes on either side of the keyword must not be ASCII word
+// characters ([0-9A-Za-z_], the class RE2's \b tests), so "rat" matches
+// "rat tool" but not "pirate" or "rat_". A trailing "*" makes the keyword
+// a word-start prefix ("advertis*" matches "advertising").
 type catRule struct {
-	cat Category
-	re  *regexp.Regexp
+	cat   Category
+	words []string
 }
 
 var catRules = []catRule{
-	{CurrencyExchange, regexp.MustCompile(`\b(exchange|exchanging|exchanged|swap|swapping|convert|converting|cashout|cash out)\b`)},
-	{Payments, regexp.MustCompile(`\b(payment|payments|paying|send|sending|transfer|transferring)\b`)},
-	{Giftcard, regexp.MustCompile(`\b(giftcard|giftcards|gc|coupon|coupons|voucher|vouchers|reward card)\b`)},
-	{Accounts, regexp.MustCompile(`\b(account|accounts|license|licenses|licence|alts?|subscription|serial key|activation key|netflix|spotify|nordvpn|upgrade key)\b`)},
-	{Gaming, regexp.MustCompile(`\b(fortnite|minecraft|csgo|cs go|steam|roblox|league of legends|valorant|gta|vbucks|skins?|in game|ingame|game)\b`)},
-	{HackforumsGoods, regexp.MustCompile(`\b(hackforums|hack forums|hf|bytes|vouch copy|ub3r|l33t)\b`)},
-	{Hacking, regexp.MustCompile(`\b(hacking|hacker|exploits?|rat|crypter|botnets?|stresser|keylogger|malware|fud|sql injection|pentest|coding|programming|python|javascript|web development|website|develop|script)\b`)},
-	{SocialBoost, regexp.MustCompile(`\b(instagram|youtube|twitter|tiktok|followers|likes|subscribers|views|upvotes|boost|boosting)\b`)},
-	{Tutorials, regexp.MustCompile(`\b(tutorials?|guides?|ebooks?|method|methods|course|courses|mentoring|coaching)\b`)},
-	{Tools, regexp.MustCompile(`\b(bots?|tools?|software|program|checker|generator|macro|automation)\b`)},
-	{Multimedia, regexp.MustCompile(`\b(logos?|design|designs|banners?|video edit(ing)?|illustrations?|graphics?|thumbnails?|animations?|intro|artwork)\b`)},
-	{EWhoring, regexp.MustCompile(`\b(ewhoring|ewhore|ewhores)\b`)},
-	{Shipping, regexp.MustCompile(`\b(shipping|delivery|label|labels|parcel|postage)\b`)},
-	{Academic, regexp.MustCompile(`\b(essays?|homework|dissertations?|assignments?|thesis|academic)\b`)},
-	{Marketing, regexp.MustCompile(`\b(marketing|seo|promotions?|promoting|advertis\w*|traffic)\b`)},
-	{Contest, regexp.MustCompile(`\b(contests?|giveaways?|raffles?|awards?)\b`)},
+	{CurrencyExchange, []string{"exchange", "exchanging", "exchanged", "swap", "swapping", "convert", "converting", "cashout", "cash out"}},
+	{Payments, []string{"payment", "payments", "paying", "send", "sending", "transfer", "transferring"}},
+	{Giftcard, []string{"giftcard", "giftcards", "gc", "coupon", "coupons", "voucher", "vouchers", "reward card"}},
+	{Accounts, []string{"account", "accounts", "license", "licenses", "licence", "alt", "alts", "subscription", "serial key", "activation key", "netflix", "spotify", "nordvpn", "upgrade key"}},
+	{Gaming, []string{"fortnite", "minecraft", "csgo", "cs go", "steam", "roblox", "league of legends", "valorant", "gta", "vbucks", "skin", "skins", "in game", "ingame", "game"}},
+	{HackforumsGoods, []string{"hackforums", "hack forums", "hf", "bytes", "vouch copy", "ub3r", "l33t"}},
+	{Hacking, []string{"hacking", "hacker", "exploit", "exploits", "rat", "crypter", "botnet", "botnets", "stresser", "keylogger", "malware", "fud", "sql injection", "pentest", "coding", "programming", "python", "javascript", "web development", "website", "develop", "script"}},
+	{SocialBoost, []string{"instagram", "youtube", "twitter", "tiktok", "followers", "likes", "subscribers", "views", "upvotes", "boost", "boosting"}},
+	{Tutorials, []string{"tutorial", "tutorials", "guide", "guides", "ebook", "ebooks", "method", "methods", "course", "courses", "mentoring", "coaching"}},
+	{Tools, []string{"bot", "bots", "tool", "tools", "software", "program", "checker", "generator", "macro", "automation"}},
+	{Multimedia, []string{"logo", "logos", "design", "designs", "banner", "banners", "video edit", "video editing", "illustration", "illustrations", "graphic", "graphics", "thumbnail", "thumbnails", "animation", "animations", "intro", "artwork"}},
+	{EWhoring, []string{"ewhoring", "ewhore", "ewhores"}},
+	{Shipping, []string{"shipping", "delivery", "label", "labels", "parcel", "postage"}},
+	{Academic, []string{"essay", "essays", "homework", "dissertation", "dissertations", "assignment", "assignments", "thesis", "academic"}},
+	{Marketing, []string{"marketing", "seo", "promotion", "promotions", "promoting", "advertis*", "traffic"}},
+	{Contest, []string{"contest", "contests", "giveaway", "giveaways", "raffle", "raffles", "award", "awards"}},
 }
 
 var methodRules = []struct {
-	m  Method
-	re *regexp.Regexp
+	m     Method
+	words []string
 }{
 	// Order matters: multi-word crypto names are matched (and their
 	// sub-strings excluded) before their prefixes.
-	{MBitcoinCash, regexp.MustCompile(`\b(bitcoin cash|bch)\b`)},
-	{MBitcoin, regexp.MustCompile(`\b(bitcoin|btc)\b`)},
-	{MPayPal, regexp.MustCompile(`\b(paypal|pp)\b`)},
-	{MAmazonGC, regexp.MustCompile(`\b(amazon giftcards?|amazon gc|agc)\b`)},
-	{MCashapp, regexp.MustCompile(`\bcashapp\b`)},
-	{MUSD, regexp.MustCompile(`\b(usd|dollars?)\b`)},
-	{MEthereum, regexp.MustCompile(`\b(ethereum|eth)\b`)},
-	{MVenmo, regexp.MustCompile(`\bvenmo\b`)},
-	{MVBucks, regexp.MustCompile(`\bvbucks\b`)},
-	{MZelle, regexp.MustCompile(`\bzelle\b`)},
-	{MLitecoin, regexp.MustCompile(`\b(litecoin|ltc)\b`)},
-	{MMonero, regexp.MustCompile(`\b(monero|xmr)\b`)},
-	{MApplePay, regexp.MustCompile(`\b(apple pay|google pay|applepay|googlepay)\b`)},
-	{MSkrill, regexp.MustCompile(`\bskrill\b`)},
+	{MBitcoinCash, []string{"bitcoin cash", "bch"}},
+	{MBitcoin, []string{"bitcoin", "btc"}},
+	{MPayPal, []string{"paypal", "pp"}},
+	{MAmazonGC, []string{"amazon giftcard", "amazon giftcards", "amazon gc", "agc"}},
+	{MCashapp, []string{"cashapp"}},
+	{MUSD, []string{"usd", "dollar", "dollars"}},
+	{MEthereum, []string{"ethereum", "eth"}},
+	{MVenmo, []string{"venmo"}},
+	{MVBucks, []string{"vbucks"}},
+	{MZelle, []string{"zelle"}},
+	{MLitecoin, []string{"litecoin", "ltc"}},
+	{MMonero, []string{"monero", "xmr"}},
+	{MApplePay, []string{"apple pay", "google pay", "applepay", "googlepay"}},
+	{MSkrill, []string{"skrill"}},
+}
+
+// isWordByte reports whether b is an ASCII word character. Every byte of
+// a multi-byte UTF-8 sequence is >= 0x80, so a non-ASCII neighbour is
+// never a word character, as under RE2's \b.
+func isWordByte(b byte) bool {
+	return b == '_' || '0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
+}
+
+// nextWord returns the start of the first whole-word occurrence of w in
+// s at or after byte from, or -1.
+func nextWord(s, w string, from int) int {
+	prefix := w[len(w)-1] == '*'
+	if prefix {
+		w = w[:len(w)-1]
+	}
+	for from <= len(s) {
+		i := strings.Index(s[from:], w)
+		if i < 0 {
+			return -1
+		}
+		i += from
+		end := i + len(w)
+		if (i == 0 || !isWordByte(s[i-1])) && (prefix || end == len(s) || !isWordByte(s[end])) {
+			return i
+		}
+		from = i + 1
+	}
+	return -1
+}
+
+// hasAnyWord reports whether any of words occurs in s as a whole word.
+func hasAnyWord(s string, words []string) bool {
+	for _, w := range words {
+		if nextWord(s, w, 0) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// stripWords replaces each whole-word occurrence of the plain (no "*")
+// words in s with a space, scanning left to right the way regexp's
+// ReplaceAllString does for \b(w1|w2|…)\b. next keeps each word's first
+// occurrence at or after pos, so the scan stays linear in len(s).
+func stripWords(s string, words []string) string {
+	var b strings.Builder
+	next := make([]int, len(words))
+	for j, w := range words {
+		next[j] = nextWord(s, w, 0)
+	}
+	pos := 0
+	for {
+		at, n := -1, 0
+		for j, w := range words {
+			if next[j] >= 0 && next[j] < pos {
+				next[j] = nextWord(s, w, pos)
+			}
+			if next[j] >= 0 && (at < 0 || next[j] < at) {
+				at, n = next[j], len(w)
+			}
+		}
+		if at < 0 {
+			break
+		}
+		b.WriteString(s[pos:at])
+		b.WriteByte(' ')
+		pos = at + n
+	}
+	b.WriteString(s[pos:])
+	return b.String()
 }
 
 // Categorize assigns the obligation text to one or more trading-activity
 // buckets (the paper: "some contracts are placed in more than one
-// category"). Text matching nothing, or with fewer than two content
-// tokens, returns just Uncategorised.
+// category"). Text that matches no rule returns just Uncategorised; there
+// is no minimum length, so a single keyword ("netflix") is enough.
 func Categorize(text string) []Category {
 	cats, _ := Classify(text)
 	return cats
@@ -195,7 +271,7 @@ func Classify(text string) ([]Category, []Method) {
 	methods := methodsFromNorm(norm)
 	var out []Category
 	for _, rule := range catRules {
-		if rule.re.MatchString(norm) {
+		if hasAnyWord(norm, rule.words) {
 			out = append(out, rule.cat)
 		}
 	}
@@ -228,17 +304,21 @@ func PaymentMethods(text string) []Method {
 
 func methodsFromNorm(norm string) []Method {
 	var out []Method
+	bch := false
 	for _, rule := range methodRules {
-		if rule.re.MatchString(norm) {
-			if rule.m == MBitcoin {
-				// Strip bitcoin-cash mentions before testing plain bitcoin.
-				stripped := methodRules[0].re.ReplaceAllString(norm, " ")
-				if !rule.re.MatchString(stripped) {
-					continue
-				}
-			}
-			out = append(out, rule.m)
+		if !hasAnyWord(norm, rule.words) {
+			continue
 		}
+		switch rule.m {
+		case MBitcoinCash:
+			bch = true
+		case MBitcoin:
+			// Strip bitcoin-cash mentions before testing plain bitcoin.
+			if bch && !hasAnyWord(stripWords(norm, methodRules[0].words), rule.words) {
+				continue
+			}
+		}
+		out = append(out, rule.m)
 	}
 	return out
 }
@@ -334,9 +414,9 @@ func ExtractValues(text string) []Money {
 }
 
 // TokenClassify is the exact-token baseline classifier used by the
-// categoriser ablation (DESIGN.md §6): instead of regex rules it matches
-// whole content tokens against a flat keyword → category index. Faster but
-// blind to multi-word phrases ("bitcoin cash", "vouch copy").
+// categoriser ablation (DESIGN.md §6): instead of the keyword rules it
+// matches whole content tokens against a flat keyword → category index.
+// Faster but blind to multi-word phrases ("bitcoin cash", "vouch copy").
 func TokenClassify(text string) []Category {
 	seen := map[Category]bool{}
 	var out []Category
