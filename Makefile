@@ -1,14 +1,10 @@
 # Verification tiers and perf tooling (see ROADMAP.md).
 #
-#   make tier1           # the seed contract: build + tests
+#   make tier1           # the seed contract: build + tests (including the
+#                        # suite and render-cache performance gates)
 #   make tier2           # vet + tests under the race detector
-#   make bench-baseline  # 1x bench smoke → BENCH_baseline.json snapshot
-#   make bench-parallel  # sequential-vs-parallel suite → BENCH_parallel.json
-#   make bench-index     # index/memoisation benchmarks → BENCH_index.json
-#   make bench-smoke     # fail if the suite regresses >2x vs BENCH_index.json
-#   make bench-columnar  # columnar-core benchmarks → BENCH_columnar.json + alloc gate
+#   make bench-smoke     # every benchmark in every package, one iteration
 #   make bench-serve     # cache-hit vs cold-request latency
-#   make bench-cache     # render-cache hot-hit vs re-render → BENCH_cache.json + 2x gate
 #   make bench-load      # hfload run against a booted hfserved → BENCH_serve_load.json
 #   make bench-load-router # hfload run through hfrouter over 2 shards → BENCH_router_load.json
 #   make router-smoke    # boot 2 shards + hfrouter, verify routing end to end
@@ -16,13 +12,7 @@
 #   make serve           # run the HTTP analysis service (hfserved)
 #   make check           # tier1 + tier2
 
-.PHONY: tier1 tier2 check bench-baseline bench-parallel bench-index bench-smoke bench-columnar bench-serve bench-cache bench-load bench-load-router router-smoke ingest-smoke serve
-
-# Benchmarks that claim parallel speedups must run at full machine width;
-# an inherited GOMAXPROCS=1 (containers, cgroup limits) silently turns
-# them into sequential measurements, which is how the original
-# BENCH_parallel.json came to be recorded at gomaxprocs 1.
-NPROC := $(shell nproc 2>/dev/null || echo 1)
+.PHONY: tier1 tier2 check bench-smoke bench-serve bench-load bench-load-router router-smoke ingest-smoke serve
 
 tier1:
 	go build ./... && go test ./...
@@ -32,109 +22,17 @@ tier2:
 
 check: tier1 tier2
 
-# Runs every benchmark exactly once and snapshots ns/op per stage into
-# BENCH_baseline.json. Future perf PRs diff against this file; regenerate it
-# (on the same machine class) whenever a hot path intentionally changes.
-bench-baseline:
-	go test -run '^$$' -bench . -benchtime 1x . \
-	| awk 'BEGIN { print "{"; first = 1 } \
-	  /^Benchmark/ { name = $$1; sub(/-[0-9]+$$/, "", name); \
-	    if (!first) printf(",\n"); first = 0; \
-	    printf("  \"%s\": {\"iterations\": %s, \"ns_per_op\": %s}", name, $$2, $$3) } \
-	  END { print "\n}" }' \
-	> BENCH_baseline.json
-	@echo "wrote BENCH_baseline.json"
-
-# Shared JSON emitter for -benchmem benchmark output: one object per
-# benchmark with iterations, ns/op, B/op, allocs/op, and the gomaxprocs
-# the run actually used (parsed from the -N name suffix; absent means 1).
-BENCH_JSON_AWK = 'BEGIN { print "{"; first = 1 } \
-	  /^Benchmark/ { name = $$1; procs = 1; \
-	    if (match(name, /-[0-9]+$$/)) { procs = substr(name, RSTART + 1); sub(/-[0-9]+$$/, "", name) } \
-	    if (!first) printf(",\n"); first = 0; \
-	    printf("  \"%s\": {\"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"gomaxprocs\": %s}", name, $$2, $$3, $$5, $$7, procs) } \
-	  END { print "\n}" }'
-
-# Records the full suite (models, K=6, Scale 0.1) pinned to one worker vs
-# the default pool, plus the descriptive pair at bench scale, into
-# BENCH_parallel.json next to BENCH_baseline.json. The gomaxprocs field
-# qualifies the numbers: on one core the pairs coincide within noise.
-bench-parallel:
-	GOMAXPROCS=$(NPROC) go test -run '^$$' -benchtime 3x -benchmem . \
-	  -bench 'SuiteScale10|SuiteDescriptive(Sequential)?$$' \
-	| awk $(BENCH_JSON_AWK) \
-	> BENCH_parallel.json
-	@echo "wrote BENCH_parallel.json (gomaxprocs $(NPROC))"
-
-# Records the analysis-index benchmarks — the descriptive suite over the
-# shared index, memoized vs direct corpus categorisation, and the cold
-# obligation-table build — into BENCH_index.json. BENCH_baseline.json is
-# the pre-index "before"; this file is the "after" and the bench-smoke
-# reference. Regenerate it (same machine class) when a hot path
-# intentionally changes.
-bench-index:
-	GOMAXPROCS=$(NPROC) go test -run '^$$' -benchtime 3x -benchmem . \
-	  -bench 'SuiteDescriptive$$|CategoriseCorpus|IndexObligationBuild' \
-	| awk $(BENCH_JSON_AWK) \
-	> BENCH_index.json
-	@echo "wrote BENCH_index.json (gomaxprocs $(NPROC))"
-
-# Fails when one run of the descriptive suite lands more than 2x above
-# the committed BENCH_index.json snapshot. One iteration is noisy, hence
-# the wide factor: this catches reintroduced corpus rescans (10x-class
-# regressions), not percent-level drift. CI runs it on every push.
+# Runs every benchmark in every package exactly once: catches benchmarks
+# that no longer compile or crash. The enforced performance gates are
+# tests (TestSuiteDescriptiveGate, internal/serve TestRenderCacheHitGate)
+# and run with tier1; perfbench/ measures the serving tier end to end.
 bench-smoke:
-	@snap=$$(awk '/"BenchmarkSuiteDescriptive"/ { match($$0, /"ns_per_op": [0-9.]+/); print substr($$0, RSTART + 13, RLENGTH - 13) }' BENCH_index.json); \
-	now=$$(go test -run '^$$' -bench 'SuiteDescriptive$$' -benchtime 1x . | awk '/^BenchmarkSuiteDescriptive/ { print $$3 }'); \
-	awk -v now="$$now" -v snap="$$snap" 'BEGIN { \
-	  if (now == "" || snap == "") { print "bench-smoke: missing measurement or snapshot"; exit 1 } \
-	  if (now + 0 > 2 * snap) { printf("bench-smoke: FAIL %.0f ns/op is >2x the %.0f snapshot\n", now, snap); exit 1 } \
-	  printf("bench-smoke: ok %.0f ns/op (%.2fx of the %.0f snapshot)\n", now, now / snap, snap) }'
-
-# Records the columnar-core benchmarks — the descriptive suite over the
-# dataset-cached groups plus the binary-vs-CSV load pair — into
-# BENCH_columnar.json, then gates against BENCH_index.json: the refactor
-# must at least halve the suite's allocs/op and must not exceed 2x its
-# ns/op snapshot. Regenerate the snapshot (same machine class) when a hot
-# path intentionally changes.
-bench-columnar:
-	GOMAXPROCS=$(NPROC) go test -run '^$$' -benchtime 3x -benchmem . \
-	  -bench 'SuiteDescriptive$$|DatasetBinaryLoad|DatasetCSVLoad' \
-	| awk $(BENCH_JSON_AWK) \
-	> BENCH_columnar.json
-	@echo "wrote BENCH_columnar.json (gomaxprocs $(NPROC))"
-	@snapns=$$(awk '/"BenchmarkSuiteDescriptive"/ { match($$0, /"ns_per_op": [0-9.]+/); print substr($$0, RSTART + 13, RLENGTH - 13) }' BENCH_index.json); \
-	snapalloc=$$(awk '/"BenchmarkSuiteDescriptive"/ { match($$0, /"allocs_per_op": [0-9.]+/); print substr($$0, RSTART + 17, RLENGTH - 17) }' BENCH_index.json); \
-	nowns=$$(awk '/"BenchmarkSuiteDescriptive"/ { match($$0, /"ns_per_op": [0-9.]+/); print substr($$0, RSTART + 13, RLENGTH - 13) }' BENCH_columnar.json); \
-	nowalloc=$$(awk '/"BenchmarkSuiteDescriptive"/ { match($$0, /"allocs_per_op": [0-9.]+/); print substr($$0, RSTART + 17, RLENGTH - 17) }' BENCH_columnar.json); \
-	awk -v nowns="$$nowns" -v snapns="$$snapns" -v nowalloc="$$nowalloc" -v snapalloc="$$snapalloc" 'BEGIN { \
-	  if (nowns == "" || snapns == "" || nowalloc == "" || snapalloc == "") { print "bench-columnar: missing measurement or snapshot"; exit 1 } \
-	  if (nowalloc + 0 > snapalloc / 2) { printf("bench-columnar: FAIL %.0f allocs/op is not a 2x drop from the %.0f snapshot\n", nowalloc, snapalloc); exit 1 } \
-	  if (nowns + 0 > 2 * snapns) { printf("bench-columnar: FAIL %.0f ns/op is >2x the %.0f snapshot\n", nowns, snapns); exit 1 } \
-	  printf("bench-columnar: ok %.0f allocs/op (%.2fx of %.0f), %.0f ns/op (%.2fx of %.0f)\n", \
-	    nowalloc, nowalloc / snapalloc, snapalloc, nowns, nowns / snapns, snapns) }'
+	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # Cache-hit vs cold-request latency for the HTTP analysis service; the
 # gap is the result cache's value proposition (see DESIGN.md §3.3).
 bench-serve:
 	go test -run '^$$' -bench 'Serve' -benchtime 3x ./internal/serve/
-
-# Hot-path render-cache benchmark: the same fully-warm /v1/report request
-# served from the rendered-section cache versus re-rendered on every hit
-# (render tier disabled). Snapshots ns/op and B/op into BENCH_cache.json,
-# then gates: the cached hit must be at least 2x faster than the
-# re-render, or the tier is not paying for its memory.
-bench-cache:
-	go test -run '^$$' -bench 'ServeHotRender' -benchtime 200x -benchmem ./internal/serve/ \
-	| awk $(BENCH_JSON_AWK) \
-	> BENCH_cache.json
-	@echo "wrote BENCH_cache.json"
-	@cached=$$(awk '/"BenchmarkServeHotRenderCached"/ { match($$0, /"ns_per_op": [0-9.]+/); print substr($$0, RSTART + 13, RLENGTH - 13) }' BENCH_cache.json); \
-	uncached=$$(awk '/"BenchmarkServeHotRenderUncached"/ { match($$0, /"ns_per_op": [0-9.]+/); print substr($$0, RSTART + 13, RLENGTH - 13) }' BENCH_cache.json); \
-	awk -v cached="$$cached" -v uncached="$$uncached" 'BEGIN { \
-	  if (cached == "" || uncached == "") { print "bench-cache: missing measurement"; exit 1 } \
-	  if (2 * cached > uncached + 0) { printf("bench-cache: FAIL cached hit %.0f ns/op is not 2x faster than the %.0f re-render\n", cached, uncached); exit 1 } \
-	  printf("bench-cache: ok cached hit %.0f ns/op, re-render %.0f ns/op (%.1fx)\n", cached, uncached, uncached / cached) }'
 
 # Build version baked into hfserved/hfload (-version flag, /healthz,
 # the turnup_build_info metric, and the load report's version field).

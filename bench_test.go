@@ -9,6 +9,7 @@ package turnup
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"turnup/internal/analysis"
+	"turnup/internal/dataset"
 	"turnup/internal/forum"
 	"turnup/internal/market"
 	"turnup/internal/obs"
@@ -272,36 +274,31 @@ func BenchmarkFigure11ValueTrend(b *testing.B) {
 }
 
 // BenchmarkFigure12ClassMade and BenchmarkFigure13ClassAccepted measure
-// extracting the per-class activity series from a fitted LTM.
-func BenchmarkFigure12ClassMade(b *testing.B) {
-	_, ltm := benchLTMFit(b)
+// summing each class's per-era activity out of the series a fitted LTM
+// carries (SALE contracts in the STABLE era).
+func benchClassSeries(b *testing.B, series [][dataset.NumMonths][forum.NumContractTypes]int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		for c := range ltm.MadeSeries {
-			for _, e := range []int{0, 1, 2} {
-				_ = e
-				total += ltm.ClassActivityTotal(c, forum.Sale, 1, true)
+		for c := range series {
+			for _, m := range dataset.EraStable.Months() {
+				total += series[c][m][forum.Sale]
 			}
 		}
 		if total == 0 {
-			b.Fatal("empty made series")
+			b.Fatal("empty class series")
 		}
 	}
 }
 
+func BenchmarkFigure12ClassMade(b *testing.B) {
+	_, ltm := benchLTMFit(b)
+	benchClassSeries(b, ltm.MadeSeries)
+}
+
 func BenchmarkFigure13ClassAccepted(b *testing.B) {
 	_, ltm := benchLTMFit(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total := 0
-		for c := range ltm.AcceptedSeries {
-			total += ltm.ClassActivityTotal(c, forum.Sale, 1, false)
-		}
-		if total == 0 {
-			b.Fatal("empty accepted series")
-		}
-	}
+	benchClassSeries(b, ltm.AcceptedSeries)
 }
 
 // BenchmarkFigure14StateMachine drives a contract through its full legal
@@ -351,7 +348,7 @@ func benchRunSuite(b *testing.B, opts analysis.SuiteOptions) {
 	d := benchCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.RunSuite(d, opts, rng.New(1)); err != nil {
+		if _, err := analysis.RunSuiteCtx(context.Background(), d, opts, rng.New(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,10 +368,8 @@ func BenchmarkSuiteDescriptiveTraced(b *testing.B) {
 
 // ---- Parallel scheduler (sequential vs worker-pool suite) ----
 //
-// The bench-parallel Makefile target records this pair next to
-// BENCH_baseline.json: the same full suite (models included, K=6) over a
-// Scale-0.1 corpus, first pinned to one worker and then with the default
-// pool. On a multi-core machine the WorkersMax run should be measurably
+// The same full suite (models included, K=6) over a Scale-0.1 corpus,
+// first pinned to one worker and then with the default pool. On a multi-core machine the WorkersMax run should be measurably
 // faster; on one core the two coincide within noise. Note that
 // BenchmarkSuiteDescriptive above already exercises the parallel default
 // (Workers unset → GOMAXPROCS); BenchmarkSuiteDescriptiveSequential is
@@ -405,7 +400,7 @@ func benchSuiteWorkers(b *testing.B, workers int) {
 	d := parallelCorpus(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.RunSuite(d, analysis.SuiteOptions{
+		if _, err := analysis.RunSuiteCtx(context.Background(), d, analysis.SuiteOptions{
 			LatentClassK: 6, Workers: workers,
 		}, rng.New(1)); err != nil {
 			b.Fatal(err)
@@ -421,9 +416,7 @@ func BenchmarkSuiteScale10WorkersMax(b *testing.B) {
 
 // ---- Analysis index (shared groupings + memoized categorisation) ----
 //
-// The bench-index Makefile target records this trio next to
-// BenchmarkSuiteDescriptive: the per-stage re-parse cost the index
-// removed, the steady-state cost of reading the memoized table, and the
+// The per-stage re-parse cost the index removed, the steady-state cost of reading the memoized table, and the
 // cold one-pass build price a suite run pays exactly once.
 
 // BenchmarkCategoriseCorpusDirect re-parses every completed public
@@ -473,10 +466,8 @@ func BenchmarkIndexObligationBuild(b *testing.B) {
 
 // ---- Columnar dataset format (dataset.bin vs the CSV pair) ----
 //
-// The bench-columnar Makefile target records this pair next to
-// BenchmarkSuiteDescriptive in BENCH_columnar.json: the load cost of the
-// binary format LoadDir now prefers against re-parsing the canonical CSV
-// pair it replaced on the hot path.
+// The load cost of the binary format LoadDir prefers against re-parsing
+// the canonical CSV pair it replaced on the hot path.
 
 func benchSavedCorpus(b *testing.B) string {
 	b.Helper()
@@ -533,51 +524,10 @@ func BenchmarkDatasetCSVLoad(b *testing.B) {
 }
 
 // ---- Ablations (DESIGN.md §6) ----
-
-// BenchmarkAblationZIPSolverEM vs BenchmarkAblationZIPSolverGradient:
-// the EM solver against direct gradient ascent on the same simulated data.
-func ablationZIPData(b *testing.B) (*stats.Matrix, []float64, *stats.Matrix) {
-	b.Helper()
-	src := rng.New(77)
-	n := 2000
-	countX := stats.NewMatrix(n, 2)
-	zeroX := stats.NewMatrix(n, 2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		countX.Set(i, 0, 1)
-		zeroX.Set(i, 0, 1)
-		x := src.Norm()
-		countX.Set(i, 1, x)
-		zeroX.Set(i, 1, src.Norm())
-		if src.Bool(0.35) {
-			y[i] = 0
-		} else {
-			y[i] = float64(src.Poisson(3 * (1 + 0.3*x*x)))
-		}
-	}
-	return countX, y, zeroX
-}
-
-func BenchmarkAblationZIPSolverEM(b *testing.B) {
-	countX, y, zeroX := ablationZIPData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.ZIPRegression(countX, y, zeroX,
-			[]string{"(Intercept)", "x"}, []string{"(Intercept)", "z"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationZIPSolverGradient(b *testing.B) {
-	countX, y, zeroX := ablationZIPData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.ZIPRegressionGradient(countX, y, zeroX); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+//
+// The solver ablation (EM vs gradient ZIP) lives in internal/stats and the
+// categoriser ablation in internal/textmine, beside the reference code
+// each compares against.
 
 // k-means++ vs uniform seeding on the cold-start-like feature space.
 func ablationKMeansData(b *testing.B) [][]float64 {
@@ -642,39 +592,5 @@ func BenchmarkAblationLCASelection(b *testing.B) {
 		if best.K < 2 {
 			b.Fatalf("selected k=%d", best.K)
 		}
-	}
-}
-
-// Rule bucketiser vs the exact-token baseline classifier. The rule
-// bucketiser is now a keyword scan equivalent to the regex rules it
-// replaced; the "Regex" benchmark keeps its name so snapshots compare.
-func ablationTexts(b *testing.B) []string {
-	b.Helper()
-	d := benchCorpus(b)
-	var texts []string
-	for _, c := range analysis.NewIndex(d).CompletedPublic() {
-		if c.MakerObligation != "" {
-			texts = append(texts, c.MakerObligation)
-		}
-	}
-	if len(texts) == 0 {
-		b.Fatal("no obligation texts")
-	}
-	return texts
-}
-
-func BenchmarkAblationCategoriserRegex(b *testing.B) {
-	texts := ablationTexts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		textmine.Categorize(texts[i%len(texts)])
-	}
-}
-
-func BenchmarkAblationCategoriserTokens(b *testing.B) {
-	texts := ablationTexts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		textmine.TokenClassify(texts[i%len(texts)])
 	}
 }

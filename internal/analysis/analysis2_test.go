@@ -348,25 +348,3 @@ func TestChangePointsNearEraBoundaries(t *testing.T) {
 		t.Errorf("no break detected in the COVID window: %+v", points)
 	}
 }
-
-func TestAssortativityByEra(t *testing.T) {
-	d := corpus(t)
-	a := AssortativityByEra(NewIndex(d))
-	if len(a) != dataset.NumEras {
-		t.Fatalf("eras = %d", len(a))
-	}
-	for e, r := range a {
-		if r < -1 || r > 1 {
-			t.Fatalf("%v assortativity = %v", e, r)
-		}
-	}
-	// No era shows strong positive assortativity: hubs trade with the
-	// periphery rather than with each other. (Pearson assortativity on
-	// heavy-tailed degrees hovers near zero; a strongly positive value
-	// would contradict the hub-to-periphery market structure.)
-	for e, r := range a {
-		if r > 0.25 {
-			t.Errorf("%v assortativity = %v, implausibly assortative", e, r)
-		}
-	}
-}

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"turnup/internal/dataset"
-	"turnup/internal/forum"
-	"turnup/internal/rng"
-	"turnup/internal/stats"
-)
+import "turnup/internal/dataset"
 
 // CohortRetention is a join-month × months-since-join activity matrix:
 // Retention[c][k] is the fraction of users first active in study month c
@@ -65,29 +60,4 @@ func (r CohortRetention) MeanRetentionAt(k int) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// ConcentrationCI bootstrap-resamples users to put a confidence interval
-// on the Figure 5 headline number — the share of contracts involving the
-// top 5% of users. Users' weights are ordered by first appearance in
-// the corpus, so a given source always draws the same resamples.
-func ConcentrationCI(d *dataset.Dataset, level float64, resamples int, src *rng.Source) (stats.BootstrapCI, error) {
-	slot := map[forum.UserID]int{}
-	var weights []float64
-	for _, c := range d.Contracts {
-		for _, u := range [2]forum.UserID{c.Maker, c.Taker} {
-			i, ok := slot[u]
-			if !ok {
-				i = len(weights)
-				slot[u] = i
-				weights = append(weights, 0)
-			}
-			weights[i]++
-		}
-	}
-	// ShareOfTop over participation weights approximates the union-share
-	// curve closely enough for an uncertainty band and is resample-stable.
-	return stats.Bootstrap(weights, func(xs []float64) float64 {
-		return stats.ShareOfTop(xs, 0.05)
-	}, resamples, level, src)
 }

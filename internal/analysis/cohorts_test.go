@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"testing"
-
-	"turnup/internal/rng"
-)
+import "testing"
 
 func TestCohortRetention(t *testing.T) {
 	d := corpus(t)
@@ -43,31 +39,5 @@ func TestCohortRetention(t *testing.T) {
 				t.Fatalf("retention[%d][%d] = %v", c, k, v)
 			}
 		}
-	}
-}
-
-func TestConcentrationCI(t *testing.T) {
-	d := corpus(t)
-	ci, err := ConcentrationCI(d, 0.95, 200, rng.New(51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Point < 0.4 || ci.Point > 1 {
-		t.Errorf("top-5%% point = %v", ci.Point)
-	}
-	if !(ci.Lo <= ci.Point && ci.Point <= ci.Hi) {
-		t.Errorf("CI [%v, %v] excludes point %v", ci.Lo, ci.Hi, ci.Point)
-	}
-	// The statistic is hub-dominated, so the interval is wide but bounded.
-	if ci.Hi-ci.Lo > 0.4 {
-		t.Errorf("CI width = %v, implausibly wide", ci.Hi-ci.Lo)
-	}
-	// Seed-deterministic: the same source seed gives the same interval.
-	again, err := ConcentrationCI(d, 0.95, 200, rng.New(51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != ci {
-		t.Errorf("same seed gave %+v, then %+v", ci, again)
 	}
 }

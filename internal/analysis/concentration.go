@@ -200,16 +200,3 @@ func CentralisationTrend(ix *Index) Centralisation {
 	}
 	return out
 }
-
-// EraMean returns the mean monthly Gini within an era.
-func (c Centralisation) EraMean(e dataset.Era) float64 {
-	months := e.Months()
-	if len(months) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, m := range months {
-		sum += c.Gini[m]
-	}
-	return sum / float64(len(months))
-}

@@ -27,7 +27,6 @@ type corpusGroups struct {
 	byMonth          [dataset.NumMonths][]*forum.Contract
 	completedByMonth [dataset.NumMonths][]*forum.Contract
 	completed        []*forum.Contract
-	public           []*forum.Contract
 	completedPublic  []*forum.Contract
 	inEra            [dataset.NumEras][]*forum.Contract
 	userContracts    map[forum.UserID][]*forum.Contract
@@ -131,11 +130,8 @@ func (g *corpusGroups) extend(d *dataset.Dataset) {
 				g.completedByMonth[cm] = append(g.completedByMonth[cm], c)
 				g.completed = append(g.completed, c)
 			}
-			if b.Public[i] {
-				g.public = append(g.public, c)
-				if done {
-					g.completedPublic = append(g.completedPublic, c)
-				}
+			if b.Public[i] && done {
+				g.completedPublic = append(g.completedPublic, c)
 			}
 			e := dataset.Era(b.Era[i])
 			g.inEra[e] = append(g.inEra[e], c)

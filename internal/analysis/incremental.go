@@ -58,7 +58,6 @@ func (g *corpusGroups) clone(n int) *corpusGroups {
 	c := &corpusGroups{
 		nContracts:      g.nContracts,
 		completed:       capped(g.completed),
-		public:          capped(g.public),
 		completedPublic: capped(g.completedPublic),
 		userContracts:   make(map[forum.UserID][]*forum.Contract, len(g.userContracts)+2*n),
 		firstEra:        cloneMap(g.firstEra, 2*n),

@@ -85,11 +85,6 @@ func (ix *Index) Completed() []*forum.Contract {
 	return ix.groups().completed
 }
 
-// Public returns all public contracts, in corpus order.
-func (ix *Index) Public() []*forum.Contract {
-	return ix.groups().public
-}
-
 // CompletedPublic returns completed public contracts — the subset every
 // obligation-text analysis runs on.
 func (ix *Index) CompletedPublic() []*forum.Contract {

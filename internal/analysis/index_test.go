@@ -15,9 +15,9 @@ import (
 // each group derived straight from the rows' own times and flags, with
 // no columnar projection involved.
 type scanGroups struct {
-	byMonth, completedByMonth          [dataset.NumMonths][]*forum.Contract
-	completed, public, completedPublic []*forum.Contract
-	inEra                              [dataset.NumEras][]*forum.Contract
+	byMonth, completedByMonth  [dataset.NumMonths][]*forum.Contract
+	completed, completedPublic []*forum.Contract
+	inEra                      [dataset.NumEras][]*forum.Contract
 }
 
 func scanReference(d *dataset.Dataset) scanGroups {
@@ -34,11 +34,8 @@ func scanReference(d *dataset.Dataset) scanGroups {
 			r.completedByMonth[cm] = append(r.completedByMonth[cm], c)
 			r.completed = append(r.completed, c)
 		}
-		if c.Public {
-			r.public = append(r.public, c)
-			if c.IsComplete() {
-				r.completedPublic = append(r.completedPublic, c)
-			}
+		if c.Public && c.IsComplete() {
+			r.completedPublic = append(r.completedPublic, c)
 		}
 		e := dataset.EraOf(c.Created)
 		r.inEra[e] = append(r.inEra[e], c)
@@ -61,9 +58,6 @@ func TestIndexMatchesDatasetScans(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ix.Completed(), ref.completed) {
 		t.Error("Completed diverges from the row scan")
-	}
-	if !reflect.DeepEqual(ix.Public(), ref.public) {
-		t.Error("Public diverges from the row scan")
 	}
 	if !reflect.DeepEqual(ix.CompletedPublic(), ref.completedPublic) {
 		t.Error("CompletedPublic diverges from the row scan")
@@ -211,9 +205,6 @@ func TestIndexGroupsHandComputed(t *testing.T) {
 
 	if n := len(ix.Completed()); n != 2 {
 		t.Errorf("Completed = %d, want 2", n)
-	}
-	if n := len(ix.Public()); n != 2 {
-		t.Errorf("Public = %d, want 2", n)
 	}
 	if n := len(ix.CompletedPublic()); n != 1 {
 		t.Errorf("CompletedPublic = %d, want 1", n)

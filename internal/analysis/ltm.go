@@ -30,9 +30,6 @@ type LTMOptions struct {
 	SweepMin, SweepMax int
 }
 
-// DefaultLTMOptions mirrors the paper: 12 classes.
-func DefaultLTMOptions() LTMOptions { return LTMOptions{K: 12, Restarts: 3} }
-
 // LTMResult is the fitted latent transition model and its derived series.
 type LTMResult struct {
 	Fit *stats.LCAResult
@@ -184,20 +181,6 @@ func buildUserMonths(d *dataset.Dataset) []UserMonth {
 	return out
 }
 
-// ClassActivityTotal sums a class's transactions of a type over an era
-// (made side when made is true).
-func (r *LTMResult) ClassActivityTotal(class int, t forum.ContractType, e dataset.Era, made bool) int {
-	total := 0
-	series := r.AcceptedSeries
-	if made {
-		series = r.MadeSeries
-	}
-	for _, m := range e.Months() {
-		total += series[class][m][t]
-	}
-	return total
-}
-
 // FlowCell is one maker-class → taker-class flow within an era and type
 // (Table 8).
 type FlowCell struct {
@@ -278,20 +261,4 @@ func (r FlowsResult) Top(e dataset.Era, t forum.ContractType, n int) []FlowCell 
 		list = list[:n]
 	}
 	return list
-}
-
-// Dispersion computes the Pearson dispersion of the user-month counts
-// against the fitted class rates, pooled over all dimensions. The paper
-// justifies its Poisson emission model by the data being
-// "non-overdispersed"; a value near 1 reproduces that check.
-func (r *LTMResult) Dispersion() float64 {
-	var ys, mus []float64
-	for i, o := range r.Obs {
-		class := r.Fit.Assignment[i]
-		for j, v := range o.Counts {
-			ys = append(ys, v)
-			mus = append(mus, r.Fit.Rates[class][j])
-		}
-	}
-	return stats.PearsonDispersion(ys, mus, r.Fit.K*len(r.Obs[0].Counts))
 }

@@ -275,7 +275,20 @@ func TestLTMDispersionNearOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi := ltm.Dispersion()
+	// Pearson dispersion of the user-month counts against their fitted
+	// class rates, pooled over all dimensions: Σ (y − μ)² / μ / (n − p).
+	var chi2 float64
+	n := 0
+	for i, o := range ltm.Obs {
+		rates := ltm.Fit.Rates[ltm.Fit.Assignment[i]]
+		for j, y := range o.Counts {
+			if mu := rates[j]; mu > 0 {
+				chi2 += (y - mu) * (y - mu) / mu
+				n++
+			}
+		}
+	}
+	phi := chi2 / float64(n-ltm.Fit.K*len(ltm.Obs[0].Counts))
 	// The paper: "non-overdispersed count data" justifies the Poisson
 	// emission. With enough classes the within-class dispersion should be
 	// near 1; far above 2 would contradict the modelling choice.

@@ -69,18 +69,3 @@ func DegreeGrowthTrend(ix *Index, completedOnly bool) DegreeGrowth {
 	}
 	return r
 }
-
-// AssortativityByEra computes the degree assortativity of each era's
-// contractual network. The paper's §6 narrative predicts the sign
-// structure: SET-UP is relatively flat (small users deal with one another,
-// power-users with power-users), while STABLE's business-to-customer shift
-// drives assortativity further negative (hubs serving the periphery).
-func AssortativityByEra(ix *Index) map[dataset.Era]float64 {
-	out := make(map[dataset.Era]float64, dataset.NumEras)
-	for _, e := range dataset.Eras {
-		cs := ix.InEra(e)
-		n := graph.Build(cs)
-		out[e] = graph.DegreeAssortativity(n, cs)
-	}
-	return out
-}

@@ -120,16 +120,6 @@ func (r PaymentsResult) Row(m textmine.Method) (PaymentRow, bool) {
 	return PaymentRow{}, false
 }
 
-// RepeatRate returns the mean transactions per unique trader for a method
-// (the paper: V-Bucks peaks at 8.37 transactions per trader).
-func (r PaymentsResult) RepeatRate(m textmine.Method) float64 {
-	row, ok := r.Row(m)
-	if !ok || row.Both.Users == 0 {
-		return 0
-	}
-	return float64(row.Both.Contracts) / float64(row.Both.Users)
-}
-
 // PaymentTrend is Figure 10: the monthly number of completed public
 // contracts mentioning each of the overall top-5 payment methods.
 type PaymentTrend struct {

@@ -1,15 +1,9 @@
 package analysis
 
-import (
-	"context"
+import "turnup/internal/obs"
 
-	"turnup/internal/dataset"
-	"turnup/internal/obs"
-	"turnup/internal/rng"
-)
-
-// SuiteOptions selects which analyses RunSuite performs and how the run is
-// scheduled and observed.
+// SuiteOptions selects which analyses RunSuiteCtx performs and how the
+// run is scheduled and observed.
 type SuiteOptions struct {
 	// LatentClassK is the number of behaviour classes (default 12, the
 	// paper's choice).
@@ -81,10 +75,4 @@ type Suite struct {
 	ColdStart *ColdStartResult // Table 7 + §5.2
 	ZIPAll    []ZIPEraResult   // Table 9
 	ZIPSub    []ZIPEraResult   // Table 10
-}
-
-// RunSuite executes the full analysis pipeline over the dataset. It is
-// RunSuiteCtx without cancellation.
-func RunSuite(d *dataset.Dataset, opts SuiteOptions, src *rng.Source) (*Suite, error) {
-	return RunSuiteCtx(context.Background(), d, opts, src)
 }

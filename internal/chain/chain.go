@@ -2,7 +2,7 @@
 // the real Bitcoin/Ethereum blockchains the paper consults when manually
 // verifying high-value contracts (§4.5). The simulator records on-chain
 // transactions for a fraction of contracts; the audit analysis later looks
-// those transactions up by hash or address and compares recorded values
+// those transactions up by hash and compares recorded values
 // against contract-declared ones — exactly the verify-against-ledger code
 // path the paper describes, including the possibility that a dishonest
 // party cites an unrelated-but-plausible transaction.
@@ -10,7 +10,6 @@ package chain
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -26,21 +25,16 @@ type Tx struct {
 	Time     time.Time
 }
 
-// Ledger is an append-only set of transactions with hash and address
-// indexes. It is safe for concurrent use.
+// Ledger is an append-only set of transactions indexed by hash. It is
+// safe for concurrent use.
 type Ledger struct {
 	mu     sync.RWMutex
 	byHash map[string]Tx
-	byAddr map[Address][]int // indexes into order
-	order  []Tx
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		byHash: make(map[string]Tx),
-		byAddr: make(map[Address][]int),
-	}
+	return &Ledger{byHash: make(map[string]Tx)}
 }
 
 // Record appends a transaction. Recording a duplicate hash is an error:
@@ -58,12 +52,6 @@ func (l *Ledger) Record(tx Tx) error {
 		return fmt.Errorf("chain: duplicate transaction hash %s", tx.Hash)
 	}
 	l.byHash[tx.Hash] = tx
-	idx := len(l.order)
-	l.order = append(l.order, tx)
-	l.byAddr[tx.From] = append(l.byAddr[tx.From], idx)
-	if tx.To != tx.From {
-		l.byAddr[tx.To] = append(l.byAddr[tx.To], idx)
-	}
 	return nil
 }
 
@@ -71,7 +59,7 @@ func (l *Ledger) Record(tx Tx) error {
 func (l *Ledger) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.order)
+	return len(l.byHash)
 }
 
 // LookupHash returns the transaction with the given hash.
@@ -80,23 +68,6 @@ func (l *Ledger) LookupHash(hash string) (Tx, bool) {
 	defer l.mu.RUnlock()
 	tx, ok := l.byHash[hash]
 	return tx, ok
-}
-
-// TxsForAddress returns all transactions touching addr within
-// [from, to], ordered by time.
-func (l *Ledger) TxsForAddress(addr Address, from, to time.Time) []Tx {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []Tx
-	for _, i := range l.byAddr[addr] {
-		tx := l.order[i]
-		if tx.Time.Before(from) || tx.Time.After(to) {
-			continue
-		}
-		out = append(out, tx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
 }
 
 // Verdict classifies the outcome of verifying a contract-declared value
@@ -144,25 +115,6 @@ func (l *Ledger) VerifyHash(hash string, declaredUSD, relTol float64) Verificati
 		return Verification{Verdict: NotFound}
 	}
 	return classify(tx, declaredUSD, relTol)
-}
-
-// VerifyAddress checks a declared USD value against transactions touching
-// addr within a window around the completion time (the paper checks
-// "recorded transactions on the blockchain at the completion time"). The
-// closest-in-value transaction in the window is used.
-func (l *Ledger) VerifyAddress(addr Address, completedAt time.Time, window time.Duration, declaredUSD, relTol float64) Verification {
-	txs := l.TxsForAddress(addr, completedAt.Add(-window), completedAt.Add(window))
-	if len(txs) == 0 {
-		return Verification{Verdict: NotFound}
-	}
-	best := txs[0]
-	bestDiff := diffAbs(best.ValueUSD, declaredUSD)
-	for _, tx := range txs[1:] {
-		if d := diffAbs(tx.ValueUSD, declaredUSD); d < bestDiff {
-			best, bestDiff = tx, d
-		}
-	}
-	return classify(best, declaredUSD, relTol)
 }
 
 func classify(tx Tx, declaredUSD, relTol float64) Verification {

@@ -46,26 +46,6 @@ func TestRecordRejectsDuplicatesAndBadTx(t *testing.T) {
 	}
 }
 
-func TestTxsForAddressWindowAndOrder(t *testing.T) {
-	l := NewLedger()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(l.Record(tx("a1", "1x", 10, t0.Add(2*time.Hour))))
-	must(l.Record(tx("a2", "1x", 20, t0)))
-	must(l.Record(tx("a3", "1x", 30, t0.Add(100*time.Hour)))) // outside window
-	must(l.Record(tx("a4", "1y", 40, t0)))
-	got := l.TxsForAddress("1x", t0.Add(-time.Hour), t0.Add(10*time.Hour))
-	if len(got) != 2 {
-		t.Fatalf("got %d txs", len(got))
-	}
-	if got[0].Hash != "a2" || got[1].Hash != "a1" {
-		t.Errorf("not time-ordered: %v %v", got[0].Hash, got[1].Hash)
-	}
-}
-
 func TestVerifyHash(t *testing.T) {
 	l := NewLedger()
 	if err := l.Record(tx("h1", "1x", 1000, t0)); err != nil {
@@ -79,26 +59,6 @@ func TestVerifyHash(t *testing.T) {
 	}
 	if v := l.VerifyHash("nope", 200, 0.1); v.Verdict != NotFound {
 		t.Errorf("missing hash: %v", v.Verdict)
-	}
-}
-
-func TestVerifyAddressPicksClosestValue(t *testing.T) {
-	l := NewLedger()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(l.Record(tx("h1", "1x", 100, t0)))
-	must(l.Record(tx("h2", "1x", 990, t0.Add(time.Hour))))
-	v := l.VerifyAddress("1x", t0, 24*time.Hour, 1000, 0.05)
-	if v.Verdict != Confirmed || v.Tx.Hash != "h2" {
-		t.Errorf("VerifyAddress = %+v", v)
-	}
-	// Empty window.
-	v = l.VerifyAddress("1x", t0.Add(1000*time.Hour), time.Hour, 1000, 0.05)
-	if v.Verdict != NotFound {
-		t.Errorf("expected NotFound, got %v", v.Verdict)
 	}
 }
 
@@ -155,7 +115,7 @@ func TestLedgerConcurrentAccess(t *testing.T) {
 					return
 				}
 				l.LookupHash(h)
-				l.TxsForAddress(AddressFrom(uint64(g)), t0.Add(-time.Hour), t0.Add(time.Hour))
+				l.VerifyHash(h, float64(i), 0.05)
 			}
 		}(g)
 	}

@@ -256,10 +256,4 @@ func TestCSVRejectsReorderedHeaders(t *testing.T) {
 	if _, err := ReadUsersCSV(strings.NewReader(swap(userHeader))); err == nil {
 		t.Error("reordered user header accepted")
 	}
-	if _, err := ReadThreadsCSV(strings.NewReader(swap(threadHeader))); err == nil {
-		t.Error("reordered thread header accepted")
-	}
-	if _, err := ReadPostsCSV(strings.NewReader(swap(postHeader))); err == nil {
-		t.Error("reordered post header accepted")
-	}
 }

@@ -130,16 +130,6 @@ func (s Status) String() string {
 	}
 }
 
-// Terminal reports whether no further transitions are possible.
-func (s Status) Terminal() bool {
-	switch s {
-	case StatusDenied, StatusExpired, StatusCompleted, StatusDisputed,
-		StatusCancelled, StatusIncomplete:
-		return true
-	}
-	return false
-}
-
 // ExpiryWindow is the acceptance deadline: "the contract is marked as
 // expired after 72 hours if no decision is made".
 const ExpiryWindow = 72 * time.Hour
@@ -346,9 +336,6 @@ func (c *Contract) CompletionTime() (time.Duration, bool) {
 	}
 	return c.Completed.Sub(c.Created), true
 }
-
-// Participant reports whether u is a party to the contract.
-func (c *Contract) Participant(u UserID) bool { return c.Maker == u || c.Taker == u }
 
 // User is a forum member with the activity counters the cold-start
 // analysis consumes. The counters are maintained by the simulator as

@@ -75,7 +75,7 @@ func TestDeny(t *testing.T) {
 	if err := c.Deny(c0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Status != StatusDenied || !c.Status.Terminal() {
+	if c.Status != StatusDenied {
 		t.Fatalf("after deny: %v", c.Status)
 	}
 	if err := c.Accept(c0.Add(2 * time.Hour)); err == nil {
@@ -218,26 +218,6 @@ func TestBidirectional(t *testing.T) {
 		if typ.Bidirectional() != w {
 			t.Errorf("%v bidirectional = %v", typ, typ.Bidirectional())
 		}
-	}
-}
-
-func TestStatusTerminal(t *testing.T) {
-	terminal := map[Status]bool{
-		StatusPending: false, StatusActive: false, StatusMarkedComplete: false,
-		StatusDenied: true, StatusExpired: true, StatusCompleted: true,
-		StatusDisputed: true, StatusCancelled: true, StatusIncomplete: true,
-	}
-	for s, w := range terminal {
-		if s.Terminal() != w {
-			t.Errorf("%v terminal = %v, want %v", s, s.Terminal(), w)
-		}
-	}
-}
-
-func TestParticipant(t *testing.T) {
-	c := newTestContract(t, Sale, true)
-	if !c.Participant(10) || !c.Participant(20) || c.Participant(30) {
-		t.Error("Participant wrong")
 	}
 }
 

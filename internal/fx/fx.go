@@ -34,12 +34,6 @@ const (
 	XMR Currency = "XMR"
 )
 
-// StudyStart and StudyEnd bound the paper's data collection window.
-var (
-	StudyStart = time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
-	StudyEnd   = time.Date(2020, 6, 30, 23, 59, 59, 0, time.UTC)
-)
-
 // monthIndex converts a time to months since June 2018 (the study start).
 func monthIndex(t time.Time) int {
 	return (t.Year()-2018)*12 + int(t.Month()) - 6
@@ -95,21 +89,6 @@ func constant(v float64) []float64 {
 	out := make([]float64, studyMonths)
 	for i := range out {
 		out[i] = v
-	}
-	return out
-}
-
-// Known reports whether the table has rates for the currency.
-func (t *Table) Known(c Currency) bool {
-	_, ok := t.rates[c]
-	return ok
-}
-
-// Currencies returns all denominations in the table.
-func (t *Table) Currencies() []Currency {
-	out := make([]Currency, 0, len(t.rates))
-	for c := range t.rates {
-		out = append(out, c)
 	}
 	return out
 }

@@ -19,11 +19,11 @@ func TestUSDIsBase(t *testing.T) {
 
 func TestAllSeriesCoverStudyWindow(t *testing.T) {
 	tab := Default()
-	for _, c := range tab.Currencies() {
-		if got := len(tab.rates[c]); got != studyMonths {
+	for c, series := range tab.rates {
+		if got := len(series); got != studyMonths {
 			t.Errorf("%s has %d months, want %d", c, got, studyMonths)
 		}
-		for i, v := range tab.rates[c] {
+		for i, v := range series {
 			if v <= 0 {
 				t.Errorf("%s month %d has non-positive rate %v", c, i, v)
 			}
@@ -108,7 +108,7 @@ func TestParseCurrency(t *testing.T) {
 }
 
 func TestMonthIndex(t *testing.T) {
-	if idx := monthIndex(StudyStart); idx != 0 {
+	if idx := monthIndex(time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)); idx != 0 {
 		t.Errorf("monthIndex(start) = %d", idx)
 	}
 	if idx := monthIndex(time.Date(2020, 6, 30, 0, 0, 0, 0, time.UTC)); idx != studyMonths-1 {
@@ -118,10 +118,13 @@ func TestMonthIndex(t *testing.T) {
 
 func TestKnownAndCurrencies(t *testing.T) {
 	tab := Default()
-	if !tab.Known(BTC) || tab.Known(Currency("DOGE")) {
-		t.Error("Known() wrong")
+	if _, err := tab.Rate(BTC, at(2019, time.March)); err != nil {
+		t.Errorf("BTC unknown: %v", err)
 	}
-	if len(tab.Currencies()) != 12 {
-		t.Errorf("currencies = %d, want 12", len(tab.Currencies()))
+	if _, err := tab.Rate(Currency("DOGE"), at(2019, time.March)); err == nil {
+		t.Error("DOGE known")
+	}
+	if len(tab.rates) != 12 {
+		t.Errorf("currencies = %d, want 12", len(tab.rates))
 	}
 }

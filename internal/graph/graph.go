@@ -6,11 +6,7 @@
 // count as both inbound and outbound for both parties.
 package graph
 
-import (
-	"math"
-
-	"turnup/internal/forum"
-)
+import "turnup/internal/forum"
 
 // Network is the contractual graph. Degrees count distinct counterparty
 // users, as the paper defines them, so edges must be deduplicated: one
@@ -141,21 +137,6 @@ func (n *Network) deg(k DegreeKind) map[forum.UserID]int {
 	}
 }
 
-// Degree returns user u's degree of the given kind.
-func (n *Network) Degree(u forum.UserID, k DegreeKind) int { return n.deg(k)[u] }
-
-// Degrees returns the degree of every user that appears in the raw graph
-// (users with zero inbound or outbound degree report 0, matching the
-// paper's "zero point" in the outbound distribution).
-func (n *Network) Degrees(k DegreeKind) map[forum.UserID]int {
-	kind := n.deg(k)
-	out := make(map[forum.UserID]int, len(n.degRaw))
-	for u := range n.degRaw {
-		out[u] = kind[u]
-	}
-	return out
-}
-
 // DegreeStats summarises a degree distribution.
 type DegreeStats struct {
 	Kind  DegreeKind
@@ -191,46 +172,4 @@ func (n *Network) DegreeSlice(k DegreeKind) []int {
 		out = append(out, kind[u])
 	}
 	return out
-}
-
-// DegreeAssortativity returns the Pearson correlation between the raw
-// degrees at the two endpoints of every accepted contract: positive values
-// mean similar-degree users trade with each other (the paper's SET-UP
-// observation that power-users and one-shot users each "trade within their
-// own class types"), negative values mean hubs mostly serve the periphery
-// (the STABLE business-to-customer pattern).
-func DegreeAssortativity(n *Network, contracts []*forum.Contract) float64 {
-	var xs, ys []float64
-	for _, c := range contracts {
-		if !connected(c) {
-			continue
-		}
-		xs = append(xs, float64(n.Degree(c.Maker, Raw)))
-		ys = append(ys, float64(n.Degree(c.Taker, Raw)))
-	}
-	if len(xs) < 2 {
-		return 0
-	}
-	return pearson(xs, ys)
-}
-
-func pearson(xs, ys []float64) float64 {
-	nf := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/nf, sy/nf
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

@@ -154,42 +154,3 @@ func TestDegreeKindString(t *testing.T) {
 		t.Error("degree kind names wrong")
 	}
 }
-
-func TestDegreeAssortativity(t *testing.T) {
-	// Disassortative star: one hub linked to many one-degree spokes.
-	var cs []*forum.Contract
-	for i := 2; i <= 12; i++ {
-		cs = append(cs, accepted(t, i, forum.Sale, forum.UserID(i), 1))
-	}
-	n := Build(cs)
-	if r := DegreeAssortativity(n, cs); r != 0 {
-		// All makers have degree 1 and the taker always has degree 11:
-		// zero variance on one side → correlation is defined as 0 here.
-		t.Errorf("star assortativity = %v, want 0 (degenerate variance)", r)
-	}
-	// Mixed graph: a hub trading with spokes in both directions plus
-	// disjoint peer pairs. Hubs meet low-degree users and low-degree users
-	// meet each other, so endpoint degrees anti-correlate.
-	var mixed []*forum.Contract
-	id := 100
-	for i := 0; i < 3; i++ { // hub (user 1) initiates to spokes
-		id++
-		mixed = append(mixed, accepted(t, id, forum.Sale, 1, forum.UserID(200+i)))
-	}
-	for i := 3; i < 6; i++ { // spokes initiate to the hub
-		id++
-		mixed = append(mixed, accepted(t, id, forum.Sale, forum.UserID(200+i), 1))
-	}
-	for i := 0; i < 6; i++ { // disjoint peer pairs
-		id++
-		mixed = append(mixed, accepted(t, id, forum.Sale, forum.UserID(300+2*i), forum.UserID(301+2*i)))
-	}
-	nm := Build(mixed)
-	if r := DegreeAssortativity(nm, mixed); r >= 0 {
-		t.Errorf("hub-plus-peers assortativity = %v, want negative", r)
-	}
-	// Empty input.
-	if r := DegreeAssortativity(New(), nil); r != 0 {
-		t.Errorf("empty assortativity = %v", r)
-	}
-}

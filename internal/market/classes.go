@@ -1,7 +1,5 @@
 package market
 
-import "turnup/internal/forum"
-
 // Class identifies one of the 12 latent behaviour classes of the paper's
 // Table 6 (A through L).
 type Class int
@@ -25,71 +23,6 @@ const (
 
 // String renders the class letter.
 func (c Class) String() string { return string(rune('A' + int(c))) }
-
-// Behaviour describes the class as the paper's Table 6 does.
-func (c Class) Behaviour() string {
-	switch c {
-	case ClassA:
-		return "Mid-level SALE taker"
-	case ClassB:
-		return "Exchanger & Sale taker"
-	case ClassC:
-		return "Single SALE maker"
-	case ClassD:
-		return "Single Exchanger"
-	case ClassE:
-		return "Exchanger power-user"
-	case ClassF:
-		return "Mid-level Exchanger"
-	case ClassG:
-		return "Exchanger power-user"
-	case ClassH:
-		return "Mid-level PURCHASE maker"
-	case ClassI:
-		return "Mid-level SALE maker"
-	case ClassJ:
-		return "Single SALE taker"
-	case ClassK:
-		return "Exchanger power-user"
-	case ClassL:
-		return "SALE taker power-user"
-	default:
-		return "unknown"
-	}
-}
-
-// ClassRates holds a class's mean monthly transaction rates per contract
-// type, split by side. Index order follows forum.ContractTypes:
-// SALE, PURCHASE, EXCHANGE, TRADE, VOUCH COPY.
-type ClassRates struct {
-	Make [forum.NumContractTypes]float64
-	Take [forum.NumContractTypes]float64
-}
-
-// TableSixRates is the paper's Table 6 rate matrix verbatim.
-// Column order there is EXCHANGE, PURCHASE, SALE, TRADE, VOUCH COPY; the
-// values are re-ordered here to the forum.ContractTypes order
-// (SALE, PURCHASE, EXCHANGE, TRADE, VOUCH COPY).
-var TableSixRates = [NumClasses]ClassRates{
-	ClassA: {Make: rates(0.5, 0.6, 0.5, 0.1, 0.0), Take: rates(10.1, 0.2, 0.5, 0.2, 0.0)},
-	ClassB: {Make: rates(0.6, 0.4, 2.3, 0.1, 0.0), Take: rates(1.1, 0.6, 6.5, 0.1, 0.0)},
-	ClassC: {Make: rates(1.1, 0.0, 0.0, 0.0, 0.0), Take: rates(0.0, 0.2, 0.0, 0.0, 0.0)},
-	ClassD: {Make: rates(0.1, 0.0, 0.9, 0.0, 0.0), Take: rates(0.0, 0.1, 0.9, 0.0, 0.0)},
-	ClassE: {Make: rates(2.0, 0.7, 4.3, 0.2, 0.0), Take: rates(3.8, 4.2, 22.3, 0.4, 0.0)},
-	ClassF: {Make: rates(0.4, 0.2, 7.3, 0.0, 0.0), Take: rates(0.3, 0.2, 1.3, 0.0, 0.0)},
-	ClassG: {Make: rates(1.3, 0.6, 21.2, 0.1, 0.0), Take: rates(1.3, 1.1, 8.1, 0.1, 0.0)},
-	ClassH: {Make: rates(0.9, 10.0, 1.3, 0.2, 0.0), Take: rates(3.2, 0.4, 1.0, 0.1, 0.0)},
-	ClassI: {Make: rates(5.2, 0.7, 1.1, 0.2, 0.0), Take: rates(1.0, 2.0, 1.6, 0.1, 0.0)},
-	ClassJ: {Make: rates(0.1, 0.7, 0.1, 0.0, 0.0), Take: rates(1.1, 0.1, 0.1, 0.0, 0.0)},
-	ClassK: {Make: rates(3.3, 0.9, 31.2, 0.3, 0.0), Take: rates(12.8, 9.2, 54.9, 1.0, 0.0)},
-	ClassL: {Make: rates(1.2, 1.1, 1.3, 0.2, 0.1), Take: rates(54.9, 0.6, 1.5, 0.2, 0.0)},
-}
-
-// rates packs per-type rates in the order SALE, PURCHASE, EXCHANGE, TRADE,
-// VOUCH COPY.
-func rates(sale, purchase, exchange, trade, vouch float64) [forum.NumContractTypes]float64 {
-	return [forum.NumContractTypes]float64{sale, purchase, exchange, trade, vouch}
-}
 
 // populationShare is the probability a newly joining user belongs to each
 // class. The bulk are one-shot users (C, D, J); power classes (E, G, K, L)

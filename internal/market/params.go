@@ -25,12 +25,10 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig is a paper-scale run.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 1.0} }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Scale <= 0 || c.Scale > 4 {
+	// Written so that NaN, which fails every comparison, is rejected too.
+	if !(c.Scale > 0 && c.Scale <= 4) {
 		return fmt.Errorf("market: scale %v out of (0, 4]", c.Scale)
 	}
 	return nil

@@ -66,15 +66,6 @@ func WriteJSON(w io.Writer, root *Span) error {
 	return enc.Encode(Flatten(root))
 }
 
-// ReadJSON parses a trace previously written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var recs []Record
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("obs: decoding trace: %w", err)
-	}
-	return recs, nil
-}
-
 // WriteText renders the span tree as an indented report: wall time,
 // allocation delta, and attributes per span.
 func WriteText(w io.Writer, root *Span) {

@@ -8,7 +8,7 @@
 // no-op on a nil receiver, so instrumented code paths cost nothing beyond a
 // nil check when observability is disabled. That zero-cost-when-disabled
 // contract is what lets the hooks stay permanently threaded through
-// market.Generate and analysis.RunSuite (see DESIGN.md).
+// market.Generate and analysis.RunSuiteCtx (see DESIGN.md).
 package obs
 
 import (
@@ -68,9 +68,6 @@ func (s *Span) SetAttr(key, value string) {
 
 // SetInt attaches an integer annotation.
 func (s *Span) SetInt(key string, v int) { s.SetAttr(key, itoa(v)) }
-
-// Ended reports whether End has been called.
-func (s *Span) Ended() bool { return s != nil && !s.Stop.IsZero() }
 
 // End ends the span. Spans are normally ended innermost-first; ending a
 // span that is not the tracer's current one also ends every still-open span

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func suite(t *testing.T) *analysis.Suite {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := analysis.RunSuite(d, analysis.SuiteOptions{LatentClassK: 6}, rng.New(3))
+		s, err := analysis.RunSuiteCtx(context.Background(), d, analysis.SuiteOptions{LatentClassK: 6}, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,6 +125,24 @@ func uploadBody(t *testing.T, d *turnup.Dataset) (string, []byte) {
 	return mw.FormDataContentType(), body.Bytes()
 }
 
+// storedDatasets reads the number of datasets a shard holds from its own
+// /healthz, bypassing the router.
+func storedDatasets(t *testing.T, shardURL string) int {
+	t.Helper()
+	resp, err := http.Get(shardURL + "/healthz?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Datasets int `json:"datasets"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Datasets
+}
+
 func TestRouterUploadAndDatasetReportRouting(t *testing.T) {
 	c := newCluster(t, ring.RouterOptions{})
 	d, err := turnup.Generate(turnup.Config{Seed: 11, Scale: 0.01})
@@ -155,13 +173,13 @@ func TestRouterUploadAndDatasetReportRouting(t *testing.T) {
 	}
 
 	// The dataset lives on the owning shard only (rf=1).
-	for i, s := range c.shards {
+	for _, u := range c.shardURL {
 		want := 0
-		if c.shardURL[i] == owner {
+		if u == owner {
 			want = 1
 		}
-		if got := s.Datasets().Len(); got != want {
-			t.Fatalf("shard %s stores %d datasets, want %d", c.shardURL[i], got, want)
+		if got := storedDatasets(t, u); got != want {
+			t.Fatalf("shard %s stores %d datasets, want %d", u, got, want)
 		}
 	}
 
@@ -213,9 +231,9 @@ func TestRouterUploadAndDatasetReportRouting(t *testing.T) {
 	if resp4.StatusCode != http.StatusNoContent {
 		t.Fatalf("routed delete status=%d", resp4.StatusCode)
 	}
-	for i, s := range c.shards {
-		if s.Datasets().Len() != 0 {
-			t.Fatalf("shard %s still stores a dataset after routed delete", c.shardURL[i])
+	for _, u := range c.shardURL {
+		if storedDatasets(t, u) != 0 {
+			t.Fatalf("shard %s still stores a dataset after routed delete", u)
 		}
 	}
 }

@@ -89,9 +89,6 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool { return r.Float64() < p }
 
@@ -106,9 +103,6 @@ func (r *Source) Norm() float64 {
 		}
 	}
 }
-
-// NormMS returns a normal variate with the given mean and standard deviation.
-func (r *Source) NormMS(mean, sd float64) float64 { return mean + sd*r.Norm() }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).
 func (r *Source) Exp(rate float64) float64 {
@@ -170,26 +164,6 @@ func (r *Source) poissonPTRS(lambda float64) int {
 	}
 }
 
-// Binomial returns a binomial(n, p) variate by direct simulation for small
-// n and by Poisson/normal style inversion via repeated Bernoulli otherwise.
-func (r *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// BTPE would be faster for huge n, but n here is bounded by per-month
-	// agent counts (thousands), so the O(n) loop is fine and exact.
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
 // Geometric returns the number of failures before the first success for a
 // Bernoulli(p) process.
 func (r *Source) Geometric(p float64) int {
@@ -200,51 +174,6 @@ func (r *Source) Geometric(p float64) int {
 		panic("rng: Geometric with p out of (0,1]")
 	}
 	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-}
-
-// Zipf samples from a bounded Zipf distribution on {0, ..., n-1} with
-// exponent s (> 0) using inverse-CDF over precomputed weights held by
-// a ZipfSampler; this helper builds a throwaway sampler.
-func (r *Source) Zipf(n int, s float64) int {
-	return NewZipf(n, s).Sample(r)
-}
-
-// ZipfSampler draws from a bounded Zipf distribution with precomputed
-// cumulative weights, so repeated sampling is O(log n).
-type ZipfSampler struct {
-	cum []float64
-}
-
-// NewZipf builds a sampler over ranks {0..n-1} with P(k) ∝ 1/(k+1)^s.
-func NewZipf(n int, s float64) *ZipfSampler {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for k := 0; k < n; k++ {
-		total += math.Pow(float64(k+1), -s)
-		cum[k] = total
-	}
-	for k := range cum {
-		cum[k] /= total
-	}
-	return &ZipfSampler{cum: cum}
-}
-
-// Sample draws a rank from the sampler.
-func (z *ZipfSampler) Sample(r *Source) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Categorical draws an index with probability proportional to weights[i].
@@ -287,51 +216,4 @@ func (r *Source) Perm(n int) []int {
 	}
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// Gamma returns a Gamma(shape, scale) variate using the Marsaglia-Tsang
-// squeeze method (with the standard boost for shape < 1).
-func (r *Source) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("rng: Gamma with non-positive parameters")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.Norm()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// NegBinomial returns an NB2 variate with mean mu and dispersion alpha
-// via the gamma-Poisson mixture (alpha <= 0 degenerates to Poisson).
-func (r *Source) NegBinomial(mu, alpha float64) int {
-	if mu <= 0 {
-		return 0
-	}
-	if alpha <= 0 {
-		return r.Poisson(mu)
-	}
-	shape := 1 / alpha
-	lambda := r.Gamma(shape, mu/shape)
-	return r.Poisson(lambda)
 }

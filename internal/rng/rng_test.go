@@ -152,32 +152,6 @@ func TestPoissonEdge(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(23)
-	const n, p, draws = 40, 0.3, 50000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		sum += float64(r.Binomial(n, p))
-	}
-	mean := sum / draws
-	if math.Abs(mean-n*p) > 0.15 {
-		t.Fatalf("binomial mean = %v, want %v", mean, n*p)
-	}
-}
-
-func TestBinomialEdge(t *testing.T) {
-	r := New(29)
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Fatalf("Binomial(10,0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Fatalf("Binomial(10,1) = %d", got)
-	}
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Fatalf("Binomial(0,.5) = %d", got)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := New(31)
 	const rate, n = 2.5, 100000
@@ -209,30 +183,6 @@ func TestLogNormalMedian(t *testing.T) {
 	frac := float64(below) / n
 	if math.Abs(frac-0.5) > 0.01 {
 		t.Fatalf("fraction below exp(mu) = %v, want ~0.5", frac)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(41)
-	z := NewZipf(100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample(r)]++
-	}
-	if counts[0] <= counts[1] || counts[1] <= counts[5] || counts[5] <= counts[50] {
-		t.Fatalf("Zipf counts not monotone-ish: %v %v %v %v",
-			counts[0], counts[1], counts[5], counts[50])
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	r := New(43)
-	z := NewZipf(7, 0.8)
-	for i := 0; i < 10000; i++ {
-		k := z.Sample(r)
-		if k < 0 || k >= 7 {
-			t.Fatalf("Zipf sample out of range: %d", k)
-		}
 	}
 }
 
@@ -334,15 +284,6 @@ func BenchmarkPoissonLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkZipf(b *testing.B) {
-	r := New(1)
-	z := NewZipf(10000, 1.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Sample(r)
-	}
-}
-
 func TestExpPanicsOnBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -379,24 +320,6 @@ func TestBoolFrequency(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	r := New(71)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
-func TestNewZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(0, 1) did not panic")
-		}
-	}()
-	NewZipf(0, 1)
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(73)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -410,66 +333,5 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestGammaMoments(t *testing.T) {
-	r := New(79)
-	for _, c := range []struct{ shape, scale float64 }{
-		{0.5, 2}, {1, 1}, {3, 0.5}, {9, 4},
-	} {
-		const n = 100000
-		sum, sumsq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			x := r.Gamma(c.shape, c.scale)
-			if x < 0 {
-				t.Fatalf("negative gamma variate %v", x)
-			}
-			sum += x
-			sumsq += x * x
-		}
-		mean := sum / n
-		variance := sumsq/n - mean*mean
-		wantMean := c.shape * c.scale
-		wantVar := c.shape * c.scale * c.scale
-		if math.Abs(mean-wantMean) > 0.03*wantMean+0.01 {
-			t.Errorf("Gamma(%v,%v) mean = %v, want %v", c.shape, c.scale, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar) > 0.08*wantVar+0.02 {
-			t.Errorf("Gamma(%v,%v) variance = %v, want %v", c.shape, c.scale, variance, wantVar)
-		}
-	}
-}
-
-func TestGammaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gamma(0,1) did not panic")
-		}
-	}()
-	New(1).Gamma(0, 1)
-}
-
-func TestNegBinomialMoments(t *testing.T) {
-	r := New(83)
-	const mu, alpha, n = 6.0, 0.5, 100000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := float64(r.NegBinomial(mu, alpha))
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	wantVar := mu + alpha*mu*mu // NB2 variance
-	if math.Abs(mean-mu) > 0.1 {
-		t.Errorf("NB mean = %v, want %v", mean, mu)
-	}
-	if math.Abs(variance-wantVar) > 0.08*wantVar {
-		t.Errorf("NB variance = %v, want %v", variance, wantVar)
-	}
-	// Degenerate cases.
-	if got := r.NegBinomial(0, 1); got != 0 {
-		t.Errorf("NB(0,1) = %d", got)
 	}
 }

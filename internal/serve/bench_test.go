@@ -24,7 +24,7 @@ import (
 )
 
 // benchGet fetches url and discards the body.
-func benchGet(b *testing.B, url string) {
+func benchGet(b testing.TB, url string) {
 	resp, err := http.Get(url)
 	if err != nil {
 		b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkServeHotRenderCached(b *testing.B) {
 // BenchmarkServeHotRenderUncached is the same hot request with the render
 // tier disabled: every iteration is a result-cache hit that still pays
 // for a full report render. The ratio against ServeHotRenderCached is the
-// render cache's value proposition and the bench-cache gate (≥2x).
+// render cache's value proposition; TestRenderCacheHitGate enforces ≥2x.
 func BenchmarkServeHotRenderUncached(b *testing.B) {
 	ts := httptest.NewServer(serve.New(serve.Options{RenderCacheBytes: -1}))
 	defer ts.Close()

@@ -396,24 +396,3 @@ func (c *Cache) Bytes() int64 {
 	defer c.mu.Unlock()
 	return c.lru.bytes()
 }
-
-// EntryInfo describes one retained result for introspection: the hashed
-// key, its admission-time size estimate, and the canonical Params. The
-// byte-accounting invariant test sums Bytes over Entries and requires it
-// to equal both Cache.Bytes and the serve_cache_bytes gauge.
-type EntryInfo struct {
-	Key    string
-	Bytes  int64
-	Params Params
-}
-
-// Entries lists the retained results, most recently used first.
-func (c *Cache) Entries() []EntryInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EntryInfo, 0, c.lru.len())
-	c.lru.each(func(key string, e *cacheEntry, size int64) {
-		out = append(out, EntryInfo{Key: key, Bytes: size, Params: e.p})
-	})
-	return out
-}

@@ -217,18 +217,6 @@ func (s *Store) gauges() {
 	s.reg.Gauge("serve_datasets_bytes").Set(float64(s.lru.bytes()))
 }
 
-// Info returns the listing entry for id, refreshing its recency — request
-// resolution counts as use, so datasets being queried stay resident.
-func (s *Store) Info(id string) (DatasetInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.lru.get(id)
-	if !ok {
-		return DatasetInfo{}, false
-	}
-	return e.info, true
-}
-
 // Snapshot pins the dataset with the given id at its current generation,
 // refreshing its recency. The first snapshot of a generation derives its
 // corpus and Index from the batches appended since the last read. The

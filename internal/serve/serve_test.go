@@ -247,6 +247,8 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"/v1/report/growth?seed=abc", "bad seed"},
 		{"/v1/report/growth?scale=0.5", "out of range"}, // MaxScale 0.1
 		{"/v1/report/growth?scale=-1", "out of range"},
+		{"/v1/report/growth?models=false&scale=NaN", "out of range"},
+		{"/v1/report/growth?models=false&scale=nan", "out of range"},
 		{"/v1/report/growth?k=0", "bad k"},
 		{"/v1/report/growth?models=maybe", "bad models"},
 		{"/v1/report/zip-all?models=false&stages=ZIPAll", "model stage"},

@@ -37,7 +37,7 @@ type Options struct {
 	MaxCacheBytes int64
 	// RenderCacheBytes is the rendered-body cache's byte budget: 0 means
 	// the 64 MiB default, negative disables the tier (every response then
-	// re-renders, the pre-two-tier behaviour — the bench-cache baseline).
+	// re-renders, the pre-two-tier behaviour — the render gate's baseline).
 	RenderCacheBytes int64
 
 	MaxScale     float64 // largest accepted ?scale= (default 1.0, the paper-sized corpus)
@@ -204,13 +204,6 @@ func (s *Server) pipelineRunner(workers int) RunFunc {
 	}
 }
 
-// Cache exposes the result cache (tests and the healthz entry count).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// RenderCache exposes the rendered-body cache; nil when the tier is
-// disabled (Options.RenderCacheBytes < 0).
-func (s *Server) RenderCache() *RenderCache { return s.rcache }
-
 // Invalidate drops matching entries from both cache tiers, returning the
 // total dropped. Every invalidation hook (dataset drop, generation
 // advance on append) goes through here so the tiers can never disagree:
@@ -218,9 +211,6 @@ func (s *Server) RenderCache() *RenderCache { return s.rcache }
 func (s *Server) Invalidate(pred func(Params) bool) int {
 	return s.cache.EvictWhere(pred) + s.rcache.EvictWhere(pred)
 }
-
-// Datasets exposes the dataset store (tests and the healthz entry count).
-func (s *Server) Datasets() *Store { return s.datasets }
 
 // ServeHTTP dispatches through the mux under the request-level
 // observability contract: every request gets an id (an inbound
@@ -476,7 +466,8 @@ func (s *Server) parseParams(r *http.Request) (Params, error) {
 		}
 		p.Scale = f
 	}
-	if p.Scale <= 0 || p.Scale > s.opts.MaxScale {
+	// Written so that NaN, which fails every comparison, is rejected too.
+	if !(p.Scale > 0 && p.Scale <= s.opts.MaxScale) {
 		return p, fmt.Errorf("scale %g out of range (0, %g]", p.Scale, s.opts.MaxScale)
 	}
 	if v := q.Get("k"); v != "" {

@@ -1,7 +1,7 @@
 // Package stats is a from-scratch, stdlib-only statistics library providing
 // the estimators the paper's analyses require: descriptive statistics,
-// Poisson and logistic generalised linear models, zero-inflated Poisson
-// regression with Vuong model comparison, k-means++ clustering, Poisson
+// zero-inflated Poisson regression (EM over Poisson and logistic IRLS
+// steps) with Vuong model comparison, k-means++ clustering, Poisson
 // mixture (latent class) models with AIC/BIC selection, latent transition
 // summaries, and discrete power-law fitting.
 //
@@ -46,34 +46,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs; it panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the total of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -114,29 +86,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Skewness returns the adjusted Fisher-Pearson sample skewness, or 0 when
-// it is undefined (n < 3 or zero variance).
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
 // Standardize returns (xs - mean) / sd columnwise-for-a-vector. When the
 // standard deviation is zero the centred values are returned unscaled.
 func Standardize(xs []float64) []float64 {
@@ -151,74 +100,6 @@ func Standardize(xs []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// SqrtTransform returns element-wise sqrt(x); negative entries map to
-// -sqrt(-x) so the transform is odd and defined everywhere. The paper
-// square-root transforms its skewed regression covariates.
-func SqrtTransform(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if x >= 0 {
-			out[i] = math.Sqrt(x)
-		} else {
-			out[i] = -math.Sqrt(-x)
-		}
-	}
-	return out
-}
-
-// Summary bundles the descriptive statistics reported throughout the paper.
-type Summary struct {
-	N                  int
-	Mean, Median       float64
-	Min, Max           float64
-	StdDev, Total, Q25 float64
-	Q75                float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		StdDev: StdDev(xs),
-		Total:  Sum(xs),
-		Q25:    Quantile(xs, 0.25),
-		Q75:    Quantile(xs, 0.75),
-	}
-}
-
-// Lorenz computes points of the Lorenz-style concentration curve the paper
-// plots in Figure 5: after sorting weights descending, share[i] is the
-// fraction of the total mass held by the top (i+1)/n fraction of items.
-// The returned slices are (topFraction, massShare) pairs of length n.
-func Lorenz(weights []float64) (topFrac, share []float64) {
-	n := len(weights)
-	if n == 0 {
-		return nil, nil
-	}
-	sorted := make([]float64, n)
-	copy(sorted, weights)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	total := Sum(sorted)
-	topFrac = make([]float64, n)
-	share = make([]float64, n)
-	acc := 0.0
-	for i, w := range sorted {
-		acc += w
-		topFrac[i] = float64(i+1) / float64(n)
-		if total > 0 {
-			share[i] = acc / total
-		}
-	}
-	return topFrac, share
 }
 
 // ShareOfTop returns the fraction of total mass held by the top q fraction
@@ -262,24 +143,4 @@ func Gini(weights []float64) float64 {
 	}
 	nf := float64(n)
 	return (2*cum)/(nf*total) - (nf+1)/nf
-}
-
-// PearsonCorr returns the Pearson correlation of two equal-length samples,
-// or 0 when undefined.
-func PearsonCorr(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

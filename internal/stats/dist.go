@@ -2,11 +2,6 @@ package stats
 
 import "math"
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalCDF returns P(Z <= x) for a standard normal Z.
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
@@ -61,19 +56,9 @@ func poissonLogPMFLg(k int, lambda, lg float64) float64 {
 	return float64(k)*math.Log(lambda) - lambda - lg
 }
 
-// PoissonPMF returns P(Y = k) for Y ~ Poisson(lambda).
-func PoissonPMF(k int, lambda float64) float64 {
-	return math.Exp(PoissonLogPMF(k, lambda))
-}
-
-// ZIPLogPMF returns the log probability mass of a zero-inflated Poisson
-// with structural-zero probability pi and Poisson mean lambda.
-func ZIPLogPMF(k int, pi, lambda float64) float64 {
-	return zipLogPMFLg(k, pi, lambda, lgammaCount(k))
-}
-
-// zipLogPMFLg is ZIPLogPMF with lg = lgammaCount(k) supplied by the
-// caller.
+// zipLogPMFLg returns the log probability mass of a zero-inflated
+// Poisson with structural-zero probability pi and Poisson mean lambda,
+// with lg = lgammaCount(k) supplied by the caller.
 func zipLogPMFLg(k int, pi, lambda, lg float64) float64 {
 	if k < 0 {
 		return math.Inf(-1)

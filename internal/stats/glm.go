@@ -6,21 +6,6 @@ import (
 	"math"
 )
 
-// GLMResult holds a fitted generalised linear model.
-type GLMResult struct {
-	Coef      []float64 // estimated coefficients, intercept first if the design includes one
-	StdErr    []float64 // asymptotic standard errors from the observed information
-	ZValues   []float64 // Coef / StdErr
-	PValues   []float64 // two-sided normal p-values
-	LogLik    float64   // maximised log-likelihood
-	NullLik   float64   // log-likelihood of the intercept-only model
-	AIC, BIC  float64
-	McFadden  float64 // 1 - LogLik/NullLik
-	N         int     // observations (with positive weight)
-	Iters     int     // IRLS/Newton iterations used
-	Converged bool
-}
-
 const (
 	glmMaxIter = 100
 	glmTol     = 1e-9
@@ -39,26 +24,10 @@ func clampEta(eta float64) float64 {
 	return eta
 }
 
-// PoissonRegression fits y ~ Poisson(exp(X·beta)) by IRLS with optional
-// prior observation weights (nil for unit weights). X must include an
-// intercept column if one is desired.
-func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
-	fit, err := poissonFit(x, y, weights)
-	if err != nil {
-		return nil, err
-	}
-	res := fit.result(weights)
-	res.LogLik = poissonLogLik(x, y, weights, fit.coef, false)
-	if err := finishGLM(res, x, fit.w); err != nil {
-		return nil, err
-	}
-	res.NullLik = poissonNullLik(y, weights)
-	fillFitStats(res, x.Cols)
-	return res, nil
-}
-
-// poissonFit is PoissonRegression's coefficient path: the IRLS loop
-// alone, without the standard errors and fit statistics.
+// poissonFit fits y ~ Poisson(exp(X·beta)) by IRLS with optional prior
+// observation weights (nil for unit weights). X must include an
+// intercept column if one is desired. Only the coefficients are
+// estimated: the ZIP EM's M-step and starting point need nothing else.
 func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return irlsFit{}, err
@@ -79,7 +48,7 @@ func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 			}
 		}
 	}
-	lik := func(beta []float64) float64 { return poissonLogLik(x, y, weights, beta, true) }
+	lik := func(beta []float64) float64 { return poissonLogLik(x, y, weights, beta) }
 	fit, err := irls(x, beta, work, lik)
 	if err != nil {
 		return irlsFit{}, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
@@ -87,14 +56,13 @@ func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 	return fit, nil
 }
 
-// poissonLogLik sums wi·log P(y_i | beta) over the rows with a non-zero
-// prior weight, or only over those with a positive one when positiveOnly
-// is set (the IRLS stop test's convention).
-func poissonLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnly bool) float64 {
+// poissonLogLik sums wi·log P(y_i | beta) over the rows with a positive
+// prior weight (the IRLS stop test's convention).
+func poissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
 	lik := 0.0
 	for i := 0; i < x.Rows; i++ {
 		wi := priorWeight(weights, i)
-		if wi == 0 || positiveOnly && !(wi > 0) {
+		if !(wi > 0) {
 			continue
 		}
 		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
@@ -103,46 +71,10 @@ func poissonLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnly
 	return lik
 }
 
-func poissonNullLik(y, weights []float64) float64 {
-	mu := weightedMean(y, weights)
-	lik := 0.0
-	for i, yi := range y {
-		wi := priorWeight(weights, i)
-		if wi == 0 {
-			continue
-		}
-		lik += wi * PoissonLogPMF(int(math.Round(yi)), mu)
-	}
-	return lik
-}
-
-// LogisticRegression fits y ~ Bernoulli(logistic(X·beta)) by Newton's
-// method. The response may be fractional (values in [0,1]) — the ZIP
-// M-step relies on this — in which case the "likelihood" is the usual
+// logisticFit fits y ~ Bernoulli(logistic(X·beta)) by Newton's method.
+// The response may be fractional (values in [0,1]) — the ZIP M-step
+// relies on this — in which case the "likelihood" is the usual
 // quasi-likelihood with fractional successes. weights may be nil.
-func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
-	fit, err := logisticFit(x, y, weights)
-	if err != nil {
-		return nil, err
-	}
-	res := fit.result(weights)
-	res.LogLik = logisticLogLik(x, y, weights, fit.coef, false)
-	if err := finishGLM(res, x, fit.w); err != nil {
-		return nil, err
-	}
-	// Null model: intercept only, p = weighted mean of y.
-	pbar := weightedMean(y, weights)
-	null := 0.0
-	for i, yi := range y {
-		wi := priorWeight(weights, i)
-		null += wi * bernoulliLogLik(yi, pbar)
-	}
-	res.NullLik = null
-	fillFitStats(res, x.Cols)
-	return res, nil
-}
-
-// logisticFit is LogisticRegression's coefficient path.
 func logisticFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return irlsFit{}, err
@@ -165,7 +97,7 @@ func logisticFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 			z[i] = eta + (y[i]-mu)/v
 		}
 	}
-	lik := func(beta []float64) float64 { return logisticLogLik(x, y, weights, beta, true) }
+	lik := func(beta []float64) float64 { return logisticLogLik(x, y, weights, beta) }
 	fit, err := irls(x, make([]float64, x.Cols), work, lik)
 	if err != nil {
 		return irlsFit{}, fmt.Errorf("stats: logistic Newton step failed: %w", err)
@@ -185,11 +117,11 @@ func bernoulliLogLik(y, mu float64) float64 {
 }
 
 // logisticLogLik is poissonLogLik's Bernoulli counterpart.
-func logisticLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnly bool) float64 {
+func logisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
 	lik := 0.0
 	for i := 0; i < x.Rows; i++ {
 		wi := priorWeight(weights, i)
-		if wi == 0 || positiveOnly && !(wi > 0) {
+		if !(wi > 0) {
 			continue
 		}
 		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
@@ -199,18 +131,11 @@ func logisticLogLik(x *Matrix, y, weights []float64, beta []float64, positiveOnl
 }
 
 // irlsFit is the outcome of the shared IRLS loop: the coefficients, the
-// working weights of the last iteration (whose Gram matrix is the
-// observed information), the iterations used and whether the stop test
-// was met.
+// iterations used and whether the stop test was met.
 type irlsFit struct {
 	coef      []float64
-	w         []float64
 	iters     int
 	converged bool
-}
-
-func (f irlsFit) result(weights []float64) *GLMResult {
-	return &GLMResult{Coef: f.coef, N: effectiveN(weights, len(f.w)), Iters: f.iters, Converged: f.converged}
 }
 
 // irls runs the Newton/IRLS loop shared by the Poisson and logistic fits
@@ -249,43 +174,13 @@ func irls(x *Matrix, beta []float64, work func(beta, w, z []float64), loglik fun
 				prevLik, havePrev = loglik(prevBeta), true
 			}
 			if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) {
-				return irlsFit{coef: next, w: w, iters: iter, converged: true}, nil
+				return irlsFit{coef: next, iters: iter, converged: true}, nil
 			}
 		}
 		prevBeta, prevLik, havePrev = beta, lik, haveLik
 		beta, haveLik = next, false
 	}
-	return irlsFit{coef: beta, w: w, iters: glmMaxIter}, nil
-}
-
-// finishGLM computes standard errors from the final working-weight Gram
-// matrix (the observed information for canonical links).
-func finishGLM(res *GLMResult, x *Matrix, w []float64) error {
-	info := XtWX(x, w)
-	cov, err := InvertSPD(info)
-	if err != nil {
-		return fmt.Errorf("stats: information matrix not invertible: %w", err)
-	}
-	p := x.Cols
-	res.StdErr = make([]float64, p)
-	res.ZValues = make([]float64, p)
-	res.PValues = make([]float64, p)
-	for j := 0; j < p; j++ {
-		res.StdErr[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
-		if res.StdErr[j] > 0 {
-			res.ZValues[j] = res.Coef[j] / res.StdErr[j]
-		}
-		res.PValues[j] = PValueTwoSided(res.ZValues[j])
-	}
-	return nil
-}
-
-func fillFitStats(res *GLMResult, p int) {
-	res.AIC = -2*res.LogLik + 2*float64(p)
-	res.BIC = -2*res.LogLik + float64(p)*math.Log(float64(max(res.N, 1)))
-	if res.NullLik != 0 {
-		res.McFadden = 1 - res.LogLik/res.NullLik
-	}
+	return irlsFit{coef: beta, iters: glmMaxIter}, nil
 }
 
 func checkDesign(x *Matrix, y, weights []float64) error {
@@ -325,43 +220,4 @@ func weightedMean(y, weights []float64) float64 {
 		return 0
 	}
 	return sy / sw
-}
-
-func effectiveN(weights []float64, n int) int {
-	if weights == nil {
-		return n
-	}
-	count := 0
-	for _, w := range weights {
-		if w > 0 {
-			count++
-		}
-	}
-	return count
-}
-
-// PearsonDispersion computes the Pearson dispersion statistic
-// φ = Σ (y_i − μ_i)² / μ_i / (n − p) for count data against fitted means.
-// φ ≈ 1 indicates equidispersion (Poisson-consistent); φ ≫ 1 indicates
-// overdispersion (a negative-binomial model would fit better). Entries
-// with non-positive fitted means are skipped.
-func PearsonDispersion(y, mu []float64, params int) float64 {
-	if len(y) != len(mu) {
-		panic("stats: PearsonDispersion length mismatch")
-	}
-	chi2 := 0.0
-	n := 0
-	for i := range y {
-		if mu[i] <= 0 {
-			continue
-		}
-		d := y[i] - mu[i]
-		chi2 += d * d / mu[i]
-		n++
-	}
-	df := n - params
-	if df <= 0 {
-		return 0
-	}
-	return chi2 / float64(df)
 }

@@ -190,9 +190,11 @@ func refFitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 	return res, nil
 }
 
-func refPoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
+// refPoissonRegression is the IRLS loop before the lazy stop test and
+// the 4-row Gram kernel: the likelihood is summed on every iteration.
+func refPoissonRegression(x *Matrix, y, weights []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
-		return nil, err
+		return irlsFit{}, err
 	}
 	n, p := x.Rows, x.Cols
 	beta := make([]float64, p)
@@ -201,9 +203,9 @@ func refPoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 	w := make([]float64, n)
 	z := make([]float64, n)
 	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
+	res := irlsFit{}
 	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
+		res.iters = iter
 		lik := 0.0
 		for i := 0; i < n; i++ {
 			wi := priorWeight(weights, i)
@@ -223,7 +225,7 @@ func refPoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		rhs := refXtWz(x, w, z)
 		next, err := SolveSPD(gram, rhs)
 		if err != nil {
-			return nil, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
+			return irlsFit{}, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
 		}
 		delta := 0.0
 		for j := range beta {
@@ -231,48 +233,23 @@ func refPoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		}
 		beta = next
 		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
+			res.converged = true
 			break
 		}
 		prevLik = lik
 	}
-	res.Coef = beta
-	res.LogLik = refPoissonLogLik(x, y, weights, beta)
-	if err := refFinishGLM(res, x, w); err != nil {
-		return nil, err
-	}
-	mu := weightedMean(y, weights)
-	for i, yi := range y {
-		wi := priorWeight(weights, i)
-		if wi == 0 {
-			continue
-		}
-		res.NullLik += wi * refPoissonLogPMF(int(math.Round(yi)), mu)
-	}
-	fillFitStats(res, p)
+	res.coef = beta
 	return res, nil
 }
 
-func refPoissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
-	lik := 0.0
-	for i := 0; i < x.Rows; i++ {
-		wi := priorWeight(weights, i)
-		if wi == 0 {
-			continue
-		}
-		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
-		lik += wi * refPoissonLogPMF(int(math.Round(y[i])), mu)
-	}
-	return lik
-}
-
-func refLogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
+// refLogisticRegression is refPoissonRegression's Bernoulli counterpart.
+func refLogisticRegression(x *Matrix, y, weights []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
-		return nil, err
+		return irlsFit{}, err
 	}
 	for _, v := range y {
 		if v < 0 || v > 1 {
-			return nil, errors.New("stats: logistic response outside [0,1]")
+			return irlsFit{}, errors.New("stats: logistic response outside [0,1]")
 		}
 	}
 	n, p := x.Rows, x.Cols
@@ -280,9 +257,9 @@ func refLogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) 
 	w := make([]float64, n)
 	z := make([]float64, n)
 	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
+	res := irlsFit{}
 	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
+		res.iters = iter
 		lik := 0.0
 		for i := 0; i < n; i++ {
 			wi := priorWeight(weights, i)
@@ -302,7 +279,7 @@ func refLogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) 
 		rhs := refXtWz(x, w, z)
 		next, err := SolveSPD(gram, rhs)
 		if err != nil {
-			return nil, fmt.Errorf("stats: logistic Newton step failed: %w", err)
+			return irlsFit{}, fmt.Errorf("stats: logistic Newton step failed: %w", err)
 		}
 		delta := 0.0
 		for j := range beta {
@@ -310,54 +287,13 @@ func refLogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) 
 		}
 		beta = next
 		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
+			res.converged = true
 			break
 		}
 		prevLik = lik
 	}
-	res.Coef = beta
-	lik := 0.0
-	for i := 0; i < x.Rows; i++ {
-		wi := priorWeight(weights, i)
-		if wi == 0 {
-			continue
-		}
-		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
-		lik += wi * bernoulliLogLik(y[i], mu)
-	}
-	res.LogLik = lik
-	if err := refFinishGLM(res, x, w); err != nil {
-		return nil, err
-	}
-	pbar := weightedMean(y, weights)
-	null := 0.0
-	for i, yi := range y {
-		wi := priorWeight(weights, i)
-		null += wi * bernoulliLogLik(yi, pbar)
-	}
-	res.NullLik = null
-	fillFitStats(res, p)
+	res.coef = beta
 	return res, nil
-}
-
-func refFinishGLM(res *GLMResult, x *Matrix, w []float64) error {
-	info := refXtWX(x, w)
-	cov, err := InvertSPD(info)
-	if err != nil {
-		return fmt.Errorf("stats: information matrix not invertible: %w", err)
-	}
-	p := x.Cols
-	res.StdErr = make([]float64, p)
-	res.ZValues = make([]float64, p)
-	res.PValues = make([]float64, p)
-	for j := 0; j < p; j++ {
-		res.StdErr[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
-		if res.StdErr[j] > 0 {
-			res.ZValues[j] = res.Coef[j] / res.StdErr[j]
-		}
-		res.PValues[j] = PValueTwoSided(res.ZValues[j])
-	}
-	return nil
 }
 
 func refZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroNames []string) (*ZIPResult, error) {
@@ -404,7 +340,7 @@ func refZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, ze
 		for i := range y {
 			mu := math.Exp(clampEta(Dot(countX.Row(i), beta)))
 			pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), gamma))))
-			muP := math.Exp(clampEta(Dot(countX.Row(i), pois.Coef)))
+			muP := math.Exp(clampEta(Dot(countX.Row(i), pois.coef)))
 			m[i] = refZIPLogPMF(int(y[i]), pi, mu) - refPoissonLogPMF(int(y[i]), muP)
 		}
 		res.Vuong, res.VuongP = 0, 1
@@ -422,7 +358,7 @@ func refZIPEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64
 	if err != nil {
 		return nil, nil, 0, 0, false, err
 	}
-	beta = append([]float64(nil), pois.Coef...)
+	beta = append([]float64(nil), pois.coef...)
 	gamma = make([]float64, zeroX.Cols)
 	zeroShare := 0.0
 	for _, v := range y {
@@ -464,12 +400,12 @@ func refZIPEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64
 		if perr != nil {
 			return nil, nil, 0, iters, false, perr
 		}
-		beta = pfit.Coef
+		beta = pfit.coef
 		lfit, lerr := refLogisticRegression(zeroX, r, nil)
 		if lerr != nil {
 			return nil, nil, 0, iters, false, lerr
 		}
-		gamma = lfit.Coef
+		gamma = lfit.coef
 	}
 	lik = refZIPLogLik(countX, y, zeroX, beta, gamma)
 	return beta, gamma, lik, iters, converged, nil

@@ -195,81 +195,3 @@ func sqDist(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Silhouette returns the mean silhouette coefficient of a clustering, a
-// standard internal quality measure in [-1, 1]. O(n²); intended for the
-// modest n of the cold-start analysis.
-func Silhouette(data [][]float64, assign []int, k int) float64 {
-	n := len(data)
-	if n == 0 || k < 2 {
-		return 0
-	}
-	total, counted := 0.0, 0
-	for i := range data {
-		// Mean distance to own cluster (a) and nearest other cluster (b).
-		sums := make([]float64, k)
-		counts := make([]int, k)
-		for j := range data {
-			if i == j {
-				continue
-			}
-			sums[assign[j]] += math.Sqrt(sqDist(data[i], data[j]))
-			counts[assign[j]]++
-		}
-		own := assign[i]
-		if counts[own] == 0 {
-			continue
-		}
-		a := sums[own] / float64(counts[own])
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || counts[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(counts[c]); m < b {
-				b = m
-			}
-		}
-		if math.IsInf(b, 1) {
-			continue
-		}
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
-// SelectKMeansK sweeps k over [kMin, kMax], fitting each and returning the
-// k with the best mean silhouette, along with per-k fits. This mirrors the
-// paper's data-driven choice of 2 clusters (then 8 within the outliers).
-func SelectKMeansK(data [][]float64, kMin, kMax int, opts KMeansOptions, src *rng.Source) (bestK int, fits map[int]*KMeansResult, err error) {
-	if kMin < 2 {
-		kMin = 2
-	}
-	if kMax > len(data) {
-		kMax = len(data)
-	}
-	if kMin > kMax {
-		return 0, nil, fmt.Errorf("stats: invalid k range [%d, %d]", kMin, kMax)
-	}
-	fits = make(map[int]*KMeansResult)
-	bestScore := math.Inf(-1)
-	for k := kMin; k <= kMax; k++ {
-		fit, ferr := KMeans(data, k, opts, src.Fork(uint64(k)))
-		if ferr != nil {
-			return 0, nil, ferr
-		}
-		fits[k] = fit
-		score := Silhouette(data, fit.Assignment, k)
-		if score > bestScore {
-			bestScore, bestK = score, k
-		}
-	}
-	return bestK, fits, nil
-}

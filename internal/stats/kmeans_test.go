@@ -136,38 +136,6 @@ func TestKMeansPlusPlusNotWorseThanRandom(t *testing.T) {
 	}
 }
 
-func TestSilhouetteQuality(t *testing.T) {
-	src := rng.New(331)
-	data, labels := threeBlobs(src, 60)
-	good := Silhouette(data, labels, 3)
-	if good < 0.7 {
-		t.Errorf("true-label silhouette = %v, want high", good)
-	}
-	// Scrambled labels should be much worse.
-	bad := make([]int, len(labels))
-	for i := range bad {
-		bad[i] = i % 3
-	}
-	if s := Silhouette(data, bad, 3); s > good/2 {
-		t.Errorf("scrambled silhouette %v not clearly worse than %v", s, good)
-	}
-}
-
-func TestSelectKMeansKFindsThree(t *testing.T) {
-	src := rng.New(337)
-	data, _ := threeBlobs(src, 50)
-	bestK, fits, err := SelectKMeansK(data, 2, 6, NewKMeansOptions(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestK != 3 {
-		t.Errorf("selected k = %d, want 3", bestK)
-	}
-	if len(fits) != 5 {
-		t.Errorf("fits for %d values of k, want 5", len(fits))
-	}
-}
-
 func TestKMeansSingleCluster(t *testing.T) {
 	src := rng.New(341)
 	data := [][]float64{{1, 1}, {1.1, 0.9}, {0.9, 1.1}}

@@ -237,22 +237,6 @@ func SelectLCA(data [][]float64, kMin, kMax, nRestarts int, src *rng.Source) (be
 	return best, fits, nil
 }
 
-// Classify returns the MAP class under the fitted model for a new
-// observation, without refitting.
-func (m *LCAResult) Classify(row []float64) int {
-	best, bestLP := 0, math.Inf(-1)
-	for c := 0; c < m.K; c++ {
-		lp := math.Log(m.Weights[c])
-		for j, v := range row {
-			lp += PoissonLogPMF(int(v), m.Rates[c][j])
-		}
-		if lp > bestLP {
-			best, bestLP = c, lp
-		}
-	}
-	return best
-}
-
 // TransitionMatrix estimates a latent transition matrix from per-period
 // class assignments: entry (a, b) is P(class b at t+1 | class a at t),
 // estimated from all consecutive-period pairs in the sequences. Each

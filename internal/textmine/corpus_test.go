@@ -60,3 +60,42 @@ func BenchmarkClassifyCorpus(b *testing.B) {
 }
 
 var classifySink []textmine.Category
+
+// Categoriser ablation (DESIGN.md §6): the keyword rules against the
+// exact-token baseline, on the maker obligation of every completed public
+// contract of the shared bench corpus. The "Regex" benchmark keeps its
+// name, from before the rules became a keyword scan equivalent to their
+// regular expressions, so results compare across versions.
+func ablationTexts(b *testing.B) []string {
+	b.Helper()
+	d, _, err := market.Generate(market.Config{Seed: 99, Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var texts []string
+	for _, c := range d.Contracts {
+		if c.Public && c.IsComplete() && c.MakerObligation != "" {
+			texts = append(texts, c.MakerObligation)
+		}
+	}
+	if len(texts) == 0 {
+		b.Fatal("no obligation texts")
+	}
+	return texts
+}
+
+func BenchmarkAblationCategoriserRegex(b *testing.B) {
+	texts := ablationTexts(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classifySink = textmine.Categorize(texts[i%len(texts)])
+	}
+}
+
+func BenchmarkAblationCategoriserTokens(b *testing.B) {
+	texts := ablationTexts(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		classifySink = textmine.TokenClassify(texts[i%len(texts)])
+	}
+}

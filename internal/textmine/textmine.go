@@ -97,14 +97,6 @@ var synonyms = []struct{ from, to string }{
 	{"remote access trojan", "rat"},
 }
 
-var stopwords = map[string]bool{
-	"a": true, "an": true, "and": true, "are": true, "as": true, "at": true,
-	"be": true, "by": true, "for": true, "from": true, "i": true, "in": true,
-	"is": true, "it": true, "my": true, "of": true, "on": true, "or": true,
-	"the": true, "to": true, "will": true, "with": true, "you": true,
-	"your": true, "me": true, "am": true, "this": true, "that": true,
-}
-
 // Normalize lower-cases the text, strips delimiters, collapses whitespace,
 // and unifies synonym spellings. Digits are retained because value
 // extraction needs them.
@@ -117,17 +109,6 @@ func Normalize(text string) string {
 		s = strings.ReplaceAll(s, syn.from, syn.to)
 	}
 	return s
-}
-
-// ContentTokens returns the normalised tokens with stop-words removed.
-func ContentTokens(text string) []string {
-	var out []string
-	for _, tok := range strings.Fields(Normalize(text)) {
-		if !stopwords[tok] {
-			out = append(out, tok)
-		}
-	}
-	return out
 }
 
 // A rule's keywords each match as a whole word of the normalised text:
@@ -411,42 +392,4 @@ func ExtractValues(text string) []Money {
 		return nil
 	}
 	return out
-}
-
-// TokenClassify is the exact-token baseline classifier used by the
-// categoriser ablation (DESIGN.md §6): instead of the keyword rules it
-// matches whole content tokens against a flat keyword → category index.
-// Faster but blind to multi-word phrases ("bitcoin cash", "vouch copy").
-func TokenClassify(text string) []Category {
-	seen := map[Category]bool{}
-	var out []Category
-	for _, tok := range ContentTokens(text) {
-		if cat, ok := tokenIndex[tok]; ok && !seen[cat] {
-			seen[cat] = true
-			out = append(out, cat)
-		}
-	}
-	if len(out) == 0 {
-		return []Category{Uncategorised}
-	}
-	return out
-}
-
-var tokenIndex = map[string]Category{
-	"exchange": CurrencyExchange, "exchanging": CurrencyExchange, "swap": CurrencyExchange,
-	"payment": Payments, "sending": Payments, "transfer": Payments,
-	"giftcard": Giftcard, "giftcards": Giftcard, "coupon": Giftcard, "voucher": Giftcard,
-	"account": Accounts, "accounts": Accounts, "license": Accounts, "netflix": Accounts,
-	"fortnite": Gaming, "minecraft": Gaming, "steam": Gaming, "vbucks": Gaming,
-	"bytes": HackforumsGoods, "hackforums": HackforumsGoods,
-	"hacking": Hacking, "rat": Hacking, "botnet": Hacking, "python": Hacking, "coding": Hacking,
-	"instagram": SocialBoost, "youtube": SocialBoost, "followers": SocialBoost,
-	"tutorial": Tutorials, "guide": Tutorials, "ebook": Tutorials, "method": Tutorials,
-	"bot": Tools, "tool": Tools, "software": Tools,
-	"logo": Multimedia, "design": Multimedia, "banner": Multimedia,
-	"ewhoring": EWhoring,
-	"shipping": Shipping, "delivery": Shipping,
-	"essay": Academic, "homework": Academic, "dissertation": Academic,
-	"marketing": Marketing, "seo": Marketing,
-	"contest": Contest, "giveaway": Contest,
 }

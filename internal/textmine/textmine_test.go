@@ -46,14 +46,6 @@ func TestNormalizeSynonyms(t *testing.T) {
 	}
 }
 
-func TestContentTokens(t *testing.T) {
-	got := ContentTokens("I will sell the account to you")
-	want := []string{"sell", "account"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ContentTokens = %v, want %v", got, want)
-	}
-}
-
 func TestCategorizeCore(t *testing.T) {
 	cases := []struct {
 		text string
@@ -208,21 +200,6 @@ func TestExtractValuesMixed(t *testing.T) {
 	}
 	if got[1].Currency != fx.BTC || got[1].Amount != 0.11 {
 		t.Errorf("second = %v", got[1])
-	}
-}
-
-func TestTokenClassifyBaseline(t *testing.T) {
-	got := TokenClassify("selling netflix account")
-	if !hasCat(got, Accounts) {
-		t.Errorf("TokenClassify = %v", got)
-	}
-	// Known blind spot of the baseline: multi-word phrases.
-	vc := TokenClassify("vouch copy please")
-	if hasCat(vc, HackforumsGoods) {
-		t.Errorf("token baseline unexpectedly matched a multi-word phrase: %v", vc)
-	}
-	if got := TokenClassify("zzz qqq"); len(got) != 1 || got[0] != Uncategorised {
-		t.Errorf("TokenClassify fallback = %v", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package turnup
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -73,8 +74,8 @@ func TestTracedPipelineCoversErasAndStages(t *testing.T) {
 	if err := obs.WriteJSON(&buf, root); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadJSON(&buf)
-	if err != nil {
+	var recs []obs.Record
+	if err := json.Unmarshal(buf.Bytes(), &recs); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != len(obs.Flatten(root)) {
