@@ -572,25 +572,3 @@ func BenchmarkAblationKMeansRandomSeed(b *testing.B) {
 		}
 	}
 }
-
-// LCA class-count selection sweep (the paper's "12-class model is most
-// parsimonious" step, at bench scale).
-func BenchmarkAblationLCASelection(b *testing.B) {
-	src := rng.New(79)
-	data := make([][]float64, 1200)
-	rates := [][]float64{{0.5, 4}, {6, 0.3}, {2, 2}}
-	for i := range data {
-		c := src.Intn(3)
-		data[i] = []float64{float64(src.Poisson(rates[c][0])), float64(src.Poisson(rates[c][1]))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		best, _, err := stats.SelectLCA(data, 1, 5, 2, rng.New(uint64(i)+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if best.K < 2 {
-			b.Fatalf("selected k=%d", best.K)
-		}
-	}
-}

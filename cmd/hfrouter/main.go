@@ -51,6 +51,7 @@ import (
 
 	"turnup/internal/obs"
 	"turnup/internal/ring"
+	"turnup/internal/serve"
 	"turnup/internal/version"
 )
 
@@ -66,7 +67,7 @@ func main() {
 	hedgeDelay := flag.Duration("hedge-delay", 100*time.Millisecond, "hedge trigger floor (and stand-in until a report p99 accumulates)")
 	hotThreshold := flag.Int("hot-threshold", 3, "report-key sightings before its requests are hedged")
 	defaultScale := flag.Float64("default-scale", 0.05, "?scale= default, must match the shards'")
-	defaultK := flag.Int("default-k", 12, "?k= default, must match the shards'")
+	defaultK := flag.Int("default-k", 12, "?k= default (1..16), must match the shards'")
 	maxDatasetBytes := flag.Int64("max-dataset-bytes", 256<<20, "upload body cap (mirror the shards')")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "shard /healthz probe period")
 	healthTimeout := flag.Duration("health-timeout", time.Second, "per-probe deadline")
@@ -80,6 +81,9 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String())
 		return
+	}
+	if *defaultK < 1 || *defaultK > serve.MaxK {
+		log.Fatalf("-default-k %d out of range [1, %d]", *defaultK, serve.MaxK)
 	}
 	var shardList []string
 	for _, s := range strings.Split(*shards, ",") {

@@ -84,7 +84,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent analysis stages per run (0 = GOMAXPROCS)")
 	maxScale := flag.Float64("max-scale", 1.0, "largest accepted ?scale= parameter")
 	defaultScale := flag.Float64("default-scale", 0.05, "?scale= default")
-	defaultK := flag.Int("default-k", 12, "?k= default (latent class count)")
+	defaultK := flag.Int("default-k", 12, "?k= default (latent class count, 1..16)")
 	shard := flag.String("shard", "", "shard name stamped on X-Shard and envelope metadata (hfrouter members: the advertised base URL)")
 	maxDatasets := flag.Int("max-datasets", 16, "uploaded datasets retained (LRU eviction beyond)")
 	maxDatasetBytes := flag.Int64("max-dataset-bytes", 256<<20, "per-upload body cap and total dataset-store bytes")
@@ -99,6 +99,9 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String())
 		return
+	}
+	if *defaultK < 1 || *defaultK > serve.MaxK {
+		log.Fatalf("-default-k %d out of range [1, %d]", *defaultK, serve.MaxK)
 	}
 	accessLog, err := obs.NewLogger(os.Stderr, *logFormat)
 	if err != nil {

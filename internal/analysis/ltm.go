@@ -25,9 +25,6 @@ type UserMonth struct {
 type LTMOptions struct {
 	K        int // number of classes (the paper selects 12)
 	Restarts int // EM restarts (best log-likelihood kept)
-	// Sweep, when non-zero, also fits every class count in [SweepMin,
-	// SweepMax] to reproduce the AIC/BIC model-selection step.
-	SweepMin, SweepMax int
 }
 
 // LTMResult is the fitted latent transition model and its derived series.
@@ -43,9 +40,6 @@ type LTMResult struct {
 
 	// Transition is the month-to-month class transition matrix.
 	Transition [][]float64
-
-	// Sweep holds the per-k fits when a selection sweep was requested.
-	Sweep map[int]*stats.LCAResult
 }
 
 // LatentClasses fits the Table 6 latent class model over user-months with
@@ -129,14 +123,6 @@ func LatentClasses(d *dataset.Dataset, opts LTMOptions, src *rng.Source) (*LTMRe
 		seqs[len(seqs)-1][o.Month] = o.Class
 	}
 	res.Transition = stats.TransitionMatrix(seqs, opts.K, false)
-
-	if opts.SweepMax >= opts.SweepMin && opts.SweepMax > 0 {
-		_, fits, err := stats.SelectLCA(data, opts.SweepMin, opts.SweepMax, opts.Restarts, src.Fork(999))
-		if err != nil {
-			return nil, err
-		}
-		res.Sweep = fits
-	}
 	return res, nil
 }
 

@@ -296,31 +296,3 @@ func TestLTMDispersionNearOne(t *testing.T) {
 		t.Errorf("Pearson dispersion = %.2f, want ~1", phi)
 	}
 }
-
-// TestLTMSweep exercises the class-count selection path (the paper's
-// "most accurate and parsimonious (per AIC and BIC) is a 12-class model"
-// step) at a small sweep range.
-func TestLTMSweep(t *testing.T) {
-	d := smallCorpus(t)
-	ltm, err := LatentClasses(d, LTMOptions{K: 4, Restarts: 1, SweepMin: 2, SweepMax: 5}, rng.New(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ltm.Sweep) != 4 {
-		t.Fatalf("sweep fitted %d class counts, want 4", len(ltm.Sweep))
-	}
-	// Log-likelihood is (weakly) increasing in K for nested mixtures.
-	for k := 3; k <= 5; k++ {
-		if ltm.Sweep[k].LogLik < ltm.Sweep[k-1].LogLik-50 {
-			t.Errorf("loglik dropped from k=%d (%v) to k=%d (%v)",
-				k-1, ltm.Sweep[k-1].LogLik, k, ltm.Sweep[k].LogLik)
-		}
-	}
-	// BIC penalises complexity: it must not be monotone decreasing forever
-	// (i.e. some finite K is preferred). Sanity: every fit has finite BIC.
-	for k, fit := range ltm.Sweep {
-		if fit.BIC != fit.BIC || fit.BIC == 0 {
-			t.Errorf("k=%d has degenerate BIC %v", k, fit.BIC)
-		}
-	}
-}

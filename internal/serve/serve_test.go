@@ -250,6 +250,8 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"/v1/report/growth?models=false&scale=NaN", "out of range"},
 		{"/v1/report/growth?models=false&scale=nan", "out of range"},
 		{"/v1/report/growth?k=0", "bad k"},
+		{"/v1/report/growth?k=17", "bad k"}, // MaxK 16
+		{"/v1/report/growth?k=100000", "bad k"},
 		{"/v1/report/growth?models=maybe", "bad models"},
 		{"/v1/report/zip-all?models=false&stages=ZIPAll", "model stage"},
 	}

@@ -42,7 +42,7 @@ type Options struct {
 
 	MaxScale     float64 // largest accepted ?scale= (default 1.0, the paper-sized corpus)
 	DefaultScale float64 // ?scale= default (default 0.05)
-	DefaultK     int     // ?k= default (default 12, the paper's choice)
+	DefaultK     int     // ?k= default (default 12, the paper's choice; at most MaxK)
 
 	// Shard names this process within a sharded tier (hfserved -shard,
 	// conventionally its advertised base URL). It is stamped on the
@@ -445,6 +445,11 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// MaxK is the largest accepted latent class count (?k= and -default-k):
+// the top of the paper's AIC/BIC sweep, 2..16 classes. A larger k is a
+// client error, answered 400 before a run slot is taken.
+const MaxK = 16
+
 // parseParams extracts and validates the run parameters from the query
 // string. Unknown stage names and model stages under models=false are
 // rejected here — before a corpus is generated — with the same
@@ -472,8 +477,8 @@ func (s *Server) parseParams(r *http.Request) (Params, error) {
 	}
 	if v := q.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return p, fmt.Errorf("bad k %q: want a positive integer", v)
+		if err != nil || n < 1 || n > MaxK {
+			return p, fmt.Errorf("bad k %q: want an integer in [1, %d]", v, MaxK)
 		}
 		p.K = n
 	}

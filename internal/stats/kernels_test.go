@@ -49,6 +49,25 @@ func userMonthData(src *rng.Source, n, d int) [][]float64 {
 	return data
 }
 
+// repeatedRows returns n rows, each a copy of one of the given number of
+// user-month rows drawn at random.
+func repeatedRows(src *rng.Source, n, patterns, d int) [][]float64 {
+	pool := userMonthData(src, patterns, d)
+	data := make([][]float64, n)
+	for i := range data {
+		data[i] = append([]float64(nil), pool[src.Intn(patterns)]...)
+	}
+	return data
+}
+
+// distinctRows sets the first count of row i to i, so no two rows repeat.
+func distinctRows(data [][]float64) [][]float64 {
+	for i, row := range data {
+		row[0] = float64(i)
+	}
+	return data
+}
+
 func TestFitLCABitExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -68,6 +87,29 @@ func TestFitLCABitExact(t *testing.T) {
 			}
 			return d
 		}(), 3},
+		// The E-step runs once per distinct row: many copies of a few
+		// dozen sparse rows, as in the LTM's user-months, then no repeats.
+		{"repeated-patterns-k6", repeatedRows(rng.New(15), 600, 30, 10), 6},
+		{"distinct-rows-k6", distinctRows(userMonthData(rng.New(16), 300, 10)), 6},
+		// −0 and +0 counts are distinct patterns with the same E-step.
+		{"negative-zero-k4", func() [][]float64 {
+			base := userMonthData(rng.New(17), 200, 6)
+			var d [][]float64
+			for i, row := range base {
+				d = append(d, row)
+				if i%2 == 0 {
+					neg := make([]float64, len(row))
+					for j, v := range row {
+						if v == 0 {
+							v = math.Copysign(0, -1)
+						}
+						neg[j] = v
+					}
+					d = append(d, neg)
+				}
+			}
+			return d
+		}(), 4},
 	}
 	for _, c := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -358,6 +400,18 @@ func TestXtWXBitExact(t *testing.T) {
 
 func BenchmarkFitLCA(b *testing.B) {
 	data := userMonthData(rng.New(61), 600, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitLCA(data, 12, rng.New(uint64(i%4)+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitLCADistinct is BenchmarkFitLCA with no repeated row: the
+// per-pattern E-step then does one pattern's work per row.
+func BenchmarkFitLCADistinct(b *testing.B) {
+	data := distinctRows(userMonthData(rng.New(61), 600, 10))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := FitLCA(data, 12, rng.New(uint64(i%4)+1)); err != nil {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -85,31 +86,47 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		weights[c] = 1 / float64(k)
 	}
 
-	// The E-step term of cell (i, j) under class c is PoissonLogPMF(count,
+	// Rows with the same counts, bit for bit, have the same E-step terms,
+	// log-likelihood and posteriors, so the E-step runs once per distinct
+	// row pattern: pat[i] is row i's pattern and first[p] the first row
+	// of pattern p.
+	pat, first := lcaPatterns(data, d)
+	np := len(first)
+
+	// The E-step term of cell (p, j) under class c is PoissonLogPMF(count,
 	// rate), i.e. count·log(rate) − rate − lgamma(count+1): counts are
 	// validated non-negative and rates never fall below lcaRateEps, so its
 	// other branches never apply. The lgamma part is fixed for the fit and
-	// log(rate) for an iteration, so they are tabulated (N×D once, K×D per
-	// iteration) and the term is evaluated from the tables with the same
-	// operations.
-	lgs := make([]float64, n*d)
-	for i, row := range data {
-		for j, v := range row {
-			lgs[i*d+j] = lgammaCount(int(v))
+	// log(rate) for an iteration, so they are tabulated (patterns×D once,
+	// K×D per iteration) and the term is evaluated from the tables with
+	// the same operations. The M-step adds post·x only for the nonzero
+	// cells of each pattern, listed flat: pattern p's columns and counts
+	// are nzCol and nzVal[nzOff[p]:nzOff[p+1]].
+	lgs := make([]float64, np*d)
+	nzOff := make([]int32, np+1)
+	var nzCol []int32
+	var nzVal []float64
+	for p, i := range first {
+		for j, v := range data[i] {
+			lgs[p*d+j] = lgammaCount(int(v))
+			if v != 0 {
+				nzCol = append(nzCol, int32(j))
+				nzVal = append(nzVal, v)
+			}
 		}
+		nzOff[p+1] = int32(len(nzCol))
 	}
 	logW := make([]float64, k)
 	logRates := make([]float64, k*d)
-	// Sufficient statistics of the M-step, accumulated during the E-step
-	// in row order: wc[c] = Σ_i post[i][c], num[c·d+j] = Σ_i post[i][c]·x_ij.
+	// Per-pattern results of the latest E-step: the row log-likelihood
+	// and the K posteriors.
+	plse := make([]float64, np)
+	ppost := make([]float64, np*k)
+	// Sufficient statistics of the M-step, accumulated in row order:
+	// wc[c] = Σ_i post[i][c], num[c·d+j] = Σ_i post[i][c]·x_ij.
 	wc := make([]float64, k)
 	num := make([]float64, k*d)
 
-	post := make([][]float64, n)
-	postData := make([]float64, n*k)
-	for i := range post {
-		post[i] = postData[i*k : (i+1)*k : (i+1)*k]
-	}
 	logp := make([]float64, k)
 	prev := math.Inf(-1)
 	for iter := 1; iter <= lcaMaxIter; iter++ {
@@ -121,15 +138,12 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 				lr[j] = math.Log(r)
 			}
 		}
-		clear(wc)
-		clear(num)
-		// E-step in log space.
-		lik := 0.0
-		for i, row := range data {
+		// E-step in log space, once per pattern.
+		for p, i := range first {
 			// Reslicing every operand to len(row) lets the compiler drop
 			// the bounds checks of the innermost loop.
-			row = row[:d]
-			lg := lgs[i*d : (i+1)*d][:len(row)]
+			row := data[i][:d]
+			lg := lgs[p*d : (p+1)*d][:len(row)]
 			for c, rc := range rates {
 				lp := logW[c]
 				lr := logRates[c*d : (c+1)*d][:len(row)]
@@ -140,17 +154,15 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 				logp[c] = lp
 			}
 			lse := logSumExp(logp)
-			lik += lse
-			pi := post[i]
-			for c := range pi {
-				pc := math.Exp(logp[c] - lse)
-				pi[c] = pc
-				wc[c] += pc
-				nc := num[c*d : (c+1)*d]
-				for j, v := range row {
-					nc[j] += pc * v
-				}
+			plse[p] = lse
+			pp := ppost[p*k : (p+1)*k]
+			for c := range pp {
+				pp[c] = math.Exp(logp[c] - lse)
 			}
+		}
+		lik := 0.0
+		for _, p := range pat {
+			lik += plse[p]
 		}
 		if math.Abs(lik-prev) < lcaTol*(math.Abs(lik)+1) {
 			res.Converged = true
@@ -160,7 +172,25 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		prev = lik
 		res.LogLik = lik
 
-		// M-step.
+		// M-step. Each row still adds its terms in row order. A zero
+		// count's term post·0 is +0 or −0 (post is in [0, 1]); every num
+		// entry starts at +0 and only receives terms ≥ 0, and x + ±0 = x
+		// for such entries under round-to-nearest, so skipping it changes
+		// no bit.
+		clear(wc)
+		clear(num)
+		for _, p := range pat {
+			lo, hi := nzOff[p], nzOff[p+1]
+			cols := nzCol[lo:hi]
+			vals := nzVal[lo:hi][:len(cols)]
+			for c, pc := range ppost[int(p)*k : (int(p)+1)*k] {
+				wc[c] += pc
+				nc := num[c*d : (c+1)*d]
+				for t, j := range cols {
+					nc[j] += pc * vals[t]
+				}
+			}
+		}
 		for c, rc := range rates {
 			weights[c] = wc[c] / float64(n)
 			if wc[c] > 0 {
@@ -171,6 +201,13 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		}
 	}
 
+	// The posteriors of the last E-step, copied out per row.
+	post := make([][]float64, n)
+	postData := make([]float64, n*k)
+	for i, p := range pat {
+		post[i] = postData[i*k : (i+1)*k : (i+1)*k]
+		copy(post[i], ppost[int(p)*k:(int(p)+1)*k])
+	}
 	res.Weights = weights
 	res.Rates = rates
 	res.Posterior = post
@@ -190,6 +227,29 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 	return res, nil
 }
 
+// lcaPatterns maps each row of data to the id of its distinct pattern,
+// keyed on the exact bits of its d counts, numbering patterns in order of
+// first appearance. It returns the per-row ids and each pattern's first
+// row.
+func lcaPatterns(data [][]float64, d int) (pat, first []int32) {
+	pat = make([]int32, len(data))
+	ids := make(map[string]int32)
+	key := make([]byte, 8*d)
+	for i, row := range data {
+		for j, v := range row {
+			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(v))
+		}
+		p, ok := ids[string(key)]
+		if !ok {
+			p = int32(len(first))
+			ids[string(key)] = p
+			first = append(first, int32(i))
+		}
+		pat[i] = p
+	}
+	return pat, first
+}
+
 func logSumExp(xs []float64) float64 {
 	m := math.Inf(-1)
 	for _, x := range xs {
@@ -205,36 +265,6 @@ func logSumExp(xs []float64) float64 {
 		s += math.Exp(x - m)
 	}
 	return m + math.Log(s)
-}
-
-// SelectLCA sweeps the class count over [kMin, kMax] with nRestarts EM runs
-// per k (best log-likelihood kept), returning the fit minimising BIC and
-// all per-k fits. The paper selects 12 classes by AIC/BIC parsimony.
-func SelectLCA(data [][]float64, kMin, kMax, nRestarts int, src *rng.Source) (best *LCAResult, fits map[int]*LCAResult, err error) {
-	if kMin < 1 {
-		kMin = 1
-	}
-	if nRestarts < 1 {
-		nRestarts = 1
-	}
-	fits = make(map[int]*LCAResult)
-	for k := kMin; k <= kMax; k++ {
-		var bestK *LCAResult
-		for r := 0; r < nRestarts; r++ {
-			fit, ferr := FitLCA(data, k, src.Fork(uint64(k*1000+r)))
-			if ferr != nil {
-				return nil, nil, ferr
-			}
-			if bestK == nil || fit.LogLik > bestK.LogLik {
-				bestK = fit
-			}
-		}
-		fits[k] = bestK
-		if best == nil || bestK.BIC < best.BIC {
-			best = bestK
-		}
-	}
-	return best, fits, nil
 }
 
 // TransitionMatrix estimates a latent transition matrix from per-period

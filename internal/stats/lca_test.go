@@ -111,6 +111,41 @@ func TestLCAErrors(t *testing.T) {
 	}
 }
 
+// The class-count sweep is the DESIGN.md §6 model-selection ablation:
+// TestSelectLCAPrefersTrueK checks that BIC recovers the true class
+// count and BenchmarkAblationLCASelection times it. Nothing outside the
+// tests calls it.
+
+// SelectLCA sweeps the class count over [kMin, kMax] with nRestarts EM runs
+// per k (best log-likelihood kept), returning the fit minimising BIC and
+// all per-k fits. The paper selects 12 classes by AIC/BIC parsimony.
+func SelectLCA(data [][]float64, kMin, kMax, nRestarts int, src *rng.Source) (best *LCAResult, fits map[int]*LCAResult, err error) {
+	if kMin < 1 {
+		kMin = 1
+	}
+	if nRestarts < 1 {
+		nRestarts = 1
+	}
+	fits = make(map[int]*LCAResult)
+	for k := kMin; k <= kMax; k++ {
+		var bestK *LCAResult
+		for r := 0; r < nRestarts; r++ {
+			fit, ferr := FitLCA(data, k, src.Fork(uint64(k*1000+r)))
+			if ferr != nil {
+				return nil, nil, ferr
+			}
+			if bestK == nil || fit.LogLik > bestK.LogLik {
+				bestK = fit
+			}
+		}
+		fits[k] = bestK
+		if best == nil || bestK.BIC < best.BIC {
+			best = bestK
+		}
+	}
+	return best, fits, nil
+}
+
 func TestSelectLCAPrefersTrueK(t *testing.T) {
 	src := rng.New(431)
 	// Three very distinct classes; BIC should not pick fewer than 3 and has
@@ -129,6 +164,29 @@ func TestSelectLCAPrefersTrueK(t *testing.T) {
 		if fits[k].LogLik < fits[k-1].LogLik-25 {
 			t.Errorf("loglik dropped substantially from k=%d (%v) to k=%d (%v)",
 				k-1, fits[k-1].LogLik, k, fits[k].LogLik)
+		}
+	}
+}
+
+// BenchmarkAblationLCASelection times the class-count selection sweep
+// (the paper's "12-class model is most parsimonious" step) at bench
+// scale.
+func BenchmarkAblationLCASelection(b *testing.B) {
+	src := rng.New(79)
+	data := make([][]float64, 1200)
+	rates := [][]float64{{0.5, 4}, {6, 0.3}, {2, 2}}
+	for i := range data {
+		c := src.Intn(3)
+		data[i] = []float64{float64(src.Poisson(rates[c][0])), float64(src.Poisson(rates[c][1]))}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		best, _, err := SelectLCA(data, 1, 5, 2, rng.New(uint64(i)+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if best.K < 2 {
+			b.Fatalf("selected k=%d", best.K)
 		}
 	}
 }
