@@ -416,8 +416,9 @@ func BenchmarkSuiteScale10WorkersMax(b *testing.B) {
 
 // ---- Analysis index (shared groupings + memoized categorisation) ----
 //
-// The per-stage re-parse cost the index removed, the steady-state cost of reading the memoized table, and the
-// cold one-pass build price a suite run pays exactly once.
+// The per-stage re-parse cost the index removed. The cold one-pass build
+// a suite run pays once is BenchmarkIndexObligationBuild in
+// internal/analysis, which can call the table build directly.
 
 // BenchmarkCategoriseCorpusDirect re-parses every completed public
 // contract's two obligation texts — what each of the five
@@ -433,34 +434,6 @@ func BenchmarkCategoriseCorpusDirect(b *testing.B) {
 			textmine.Categorize(c.MakerObligation)
 			textmine.Categorize(c.TakerObligation)
 		}
-	}
-}
-
-// BenchmarkCategoriseCorpusMemoized reads the same classifications
-// through a warm analysis.Index — what every stage after the first pays.
-func BenchmarkCategoriseCorpusMemoized(b *testing.B) {
-	d := benchCorpus(b)
-	ix := analysis.NewIndex(d)
-	cs := ix.CompletedPublic()
-	ix.MakerCategories(cs[0]) // build the table outside the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cs {
-			ix.MakerCategories(c)
-			ix.TakerCategories(c)
-		}
-	}
-}
-
-// BenchmarkIndexObligationBuild measures the cold one-pass table build
-// (worker-pool classification of every completed public contract) that a
-// suite run amortises across all categoriser-bound stages.
-func BenchmarkIndexObligationBuild(b *testing.B) {
-	d := benchCorpus(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix := analysis.NewIndex(d)
-		ix.MakerCategories(ix.CompletedPublic()[0])
 	}
 }
 

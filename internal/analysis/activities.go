@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"time"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -33,114 +34,17 @@ type ActivitiesResult struct {
 
 // Activities computes Table 3 over completed public contracts.
 func Activities(ix *Index) ActivitiesResult {
-	return activitiesOver(ix, ix.CompletedPublic())
-}
-
-func activitiesOver(ix *Index, cs []*forum.Contract) ActivitiesResult {
-	type acc struct {
-		makerContracts, takerContracts, bothContracts int
-		makerUsers, takerUsers, bothUsers             map[forum.UserID]bool
-	}
-	accs := map[textmine.Category]*acc{}
-	get := func(cat textmine.Category) *acc {
-		a, ok := accs[cat]
-		if !ok {
-			a = &acc{
-				makerUsers: map[forum.UserID]bool{},
-				takerUsers: map[forum.UserID]bool{},
-				bothUsers:  map[forum.UserID]bool{},
-			}
-			accs[cat] = a
-		}
-		return a
-	}
-	totalAcc := get("__total__")
-	for _, c := range cs {
-		catsM := ix.MakerCategories(c)
-		catsT := ix.TakerCategories(c)
-		seenBoth := map[textmine.Category]bool{}
-		anyClassified := false
-		for _, cat := range catsM {
-			if cat == textmine.Uncategorised {
-				continue
-			}
-			anyClassified = true
-			a := get(cat)
-			a.makerContracts++
-			a.makerUsers[c.Maker] = true
-			a.bothUsers[c.Maker] = true
-			if !seenBoth[cat] {
-				seenBoth[cat] = true
-				a.bothContracts++
-			}
-		}
-		for _, cat := range catsT {
-			if cat == textmine.Uncategorised {
-				continue
-			}
-			anyClassified = true
-			a := get(cat)
-			a.takerContracts++
-			a.takerUsers[c.Taker] = true
-			a.bothUsers[c.Taker] = true
-			if !seenBoth[cat] {
-				seenBoth[cat] = true
-				a.bothContracts++
-			}
-		}
-		if anyClassified {
-			// The totals row counts each classified contract once per side
-			// and once overall, matching the paper's note that the total is
-			// below the per-category sum.
-			if hasRealCategory(catsM) {
-				totalAcc.makerContracts++
-				totalAcc.makerUsers[c.Maker] = true
-				totalAcc.bothUsers[c.Maker] = true
-			}
-			if hasRealCategory(catsT) {
-				totalAcc.takerContracts++
-				totalAcc.takerUsers[c.Taker] = true
-				totalAcc.bothUsers[c.Taker] = true
-			}
-			totalAcc.bothContracts++
-		}
-	}
-
-	var r ActivitiesResult
-	for cat, a := range accs {
-		if cat == "__total__" {
-			continue
-		}
-		r.Rows = append(r.Rows, ActivityRow{
-			Category: cat,
-			Makers:   SideCount{a.makerContracts, len(a.makerUsers)},
-			Takers:   SideCount{a.takerContracts, len(a.takerUsers)},
-			Both:     SideCount{a.bothContracts, len(a.bothUsers)},
-		})
-	}
-	sort.Slice(r.Rows, func(i, j int) bool {
-		if r.Rows[i].Both.Contracts != r.Rows[j].Both.Contracts {
-			return r.Rows[i].Both.Contracts > r.Rows[j].Both.Contracts
-		}
-		return r.Rows[i].Category < r.Rows[j].Category
-	})
-	r.Total = ActivityRow{
-		Category: "All Trading Activities",
-		Makers:   SideCount{totalAcc.makerContracts, len(totalAcc.makerUsers)},
-		Takers:   SideCount{totalAcc.takerContracts, len(totalAcc.takerUsers)},
-		Both:     SideCount{totalAcc.bothContracts, len(totalAcc.bothUsers)},
+	rows, total := tabulate(ix, textmine.Categories, activityMasks)
+	r := ActivitiesResult{Total: ActivityRow{"All Trading Activities", total[makerSide], total[takerSide], total[eitherSide]}}
+	for _, row := range rows {
+		r.Rows = append(r.Rows, ActivityRow{textmine.Categories[row.bit], row.tally[makerSide], row.tally[takerSide], row.tally[eitherSide]})
 	}
 	return r
 }
 
-func hasRealCategory(cats []textmine.Category) bool {
-	for _, c := range cats {
-		if c != textmine.Uncategorised {
-			return true
-		}
-	}
-	return false
-}
+// activityMasks gives a contract's maker and taker categories: Table 3
+// and Figure 9 read every completed public contract.
+func activityMasks(o obligation) (makerMask, takerMask uint32) { return o.makerCats, o.takerCats }
 
 // Row returns the row for a category, if present.
 func (r ActivitiesResult) Row(cat textmine.Category) (ActivityRow, bool) {
@@ -152,6 +56,80 @@ func (r ActivitiesResult) Row(cat textmine.Category) (ActivityRow, bool) {
 	return ActivityRow{}, false
 }
 
+// Sides of a tally.
+const (
+	makerSide = iota
+	takerSide
+	eitherSide
+)
+
+// tally is one row of Table 3 or 4, indexed by side: maker, taker, and
+// either side.
+type tally [3]SideCount
+
+// bucketTally is a tally for the bucket at one mask bit.
+type bucketTally struct {
+	bit int
+	tally
+}
+
+// tabulate counts Table 3 or 4 from the obligation table. sides gives a
+// contract's maker and taker masks over names (both zero for a contract
+// outside the table's population); each set bit is one bucket. A bucket
+// counts the contracts naming it on each side and on either, and the
+// distinct users on that side. The totals row counts each contract, and
+// each user, once however many buckets it names, so it is below the sum
+// of the rows. Rows are the buckets some contract names, ranked by
+// either-side contracts, descending, then by name.
+func tabulate[N ~string](ix *Index, names []N, sides func(obligation) (makerMask, takerMask uint32)) (rows []bucketTally, total tally) {
+	var byBit [32]tally
+	// Each side's users, mapped to the union of the buckets they name.
+	users := [3]map[forum.UserID]uint32{{}, {}, {}}
+	oblig := ix.obligations()
+	for i, c := range ix.CompletedPublic() {
+		mk, tk := sides(oblig[i])
+		if mk|tk == 0 {
+			continue
+		}
+		for s, m := range [3]uint32{mk, tk, mk | tk} {
+			if m != 0 {
+				total[s].Contracts++
+			}
+			for ; m != 0; m &= m - 1 {
+				byBit[trailingBit(m)][s].Contracts++
+			}
+		}
+		if mk != 0 {
+			users[makerSide][c.Maker] |= mk
+			users[eitherSide][c.Maker] |= mk
+		}
+		if tk != 0 {
+			users[takerSide][c.Taker] |= tk
+			users[eitherSide][c.Taker] |= tk
+		}
+	}
+	for s, us := range users {
+		total[s].Users = len(us)
+		for _, m := range us {
+			for ; m != 0; m &= m - 1 {
+				byBit[trailingBit(m)][s].Users++
+			}
+		}
+	}
+	for b := range names {
+		if byBit[b][eitherSide].Contracts > 0 {
+			rows = append(rows, bucketTally{b, byBit[b]})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if ci, cj := rows[i].tally[eitherSide].Contracts, rows[j].tally[eitherSide].Contracts; ci != cj {
+			return ci > cj
+		}
+		return names[rows[i].bit] < names[rows[j].bit]
+	})
+	return rows, total
+}
+
 // ProductTrend is Figure 9: the monthly number of completed public
 // contracts in the overall top five product categories, excluding currency
 // exchange and payments (examined separately in §4.4).
@@ -160,11 +138,11 @@ type ProductTrend struct {
 	Counts     map[textmine.Category][dataset.NumMonths]int
 }
 
-// ProductTrends computes Figure 9.
+// ProductTrends computes Figure 9, taking the top five product
+// categories from Table 3.
 func ProductTrends(ix *Index) ProductTrend {
-	overall := Activities(ix)
 	var top []textmine.Category
-	for _, row := range overall.Rows {
+	for _, row := range Activities(ix).Rows {
 		if row.Category == textmine.CurrencyExchange || row.Category == textmine.Payments {
 			continue
 		}
@@ -173,27 +151,39 @@ func ProductTrends(ix *Index) ProductTrend {
 			break
 		}
 	}
-	counts := make(map[textmine.Category][dataset.NumMonths]int)
-	for _, c := range ix.CompletedPublic() {
-		at := c.Completed
-		if at.IsZero() {
-			at = c.Created
+	return ProductTrend{Categories: top, Counts: monthlyCounts(ix, top, catBit, activityMasks)}
+}
+
+// monthlyCounts is Figures 9 and 10's series: per completion month, the
+// completed public contracts naming each of top's buckets on either side
+// (bit gives a bucket's mask bit; sides as for tabulate).
+func monthlyCounts[N comparable](ix *Index, top []N, bit map[N]uint32, sides func(obligation) (makerMask, takerMask uint32)) map[N][dataset.NumMonths]int {
+	series := make([][dataset.NumMonths]int, len(top))
+	oblig := ix.obligations()
+	for i, c := range ix.CompletedPublic() {
+		mk, tk := sides(oblig[i])
+		if mk|tk == 0 {
+			continue
 		}
-		m := dataset.MonthOf(at)
-		matched := map[textmine.Category]bool{}
-		for _, cat := range ix.MakerCategories(c) {
-			matched[cat] = true
-		}
-		for _, cat := range ix.TakerCategories(c) {
-			matched[cat] = true
-		}
-		for _, cat := range top {
-			if matched[cat] {
-				arr := counts[cat]
-				arr[m]++
-				counts[cat] = arr
+		m := dataset.MonthOf(completedAt(c))
+		for j, n := range top {
+			if (mk|tk)&(1<<bit[n]) != 0 {
+				series[j][m]++
 			}
 		}
 	}
-	return ProductTrend{Categories: top, Counts: counts}
+	counts := make(map[N][dataset.NumMonths]int, len(top))
+	for j, n := range top {
+		counts[n] = series[j]
+	}
+	return counts
+}
+
+// completedAt is a completed contract's completion time, or its creation
+// time when no completion date is recorded.
+func completedAt(c *forum.Contract) time.Time {
+	if c.Completed.IsZero() {
+		return c.Created
+	}
+	return c.Completed
 }

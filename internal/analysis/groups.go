@@ -33,55 +33,44 @@ type corpusGroups struct {
 	firstEra         map[forum.UserID]dataset.Era
 
 	obligOnce sync.Once
-	oblig     map[forum.ContractID]*obligation
-	money     []*forum.Contract
+	oblig     []obligation // classifies completedPublic, entry for entry
 
 	valsOnce sync.Once
 	vals     map[string][]textmine.Money
 }
 
-// Category/method bit tables: every classification is also carried as a
-// bitmask over the canonical textmine orderings, so per-contract unions
-// (Table 5's maker∪taker rows) are ORs instead of map inserts.
+// Bit positions of the classification masks: a category's or method's
+// index in textmine.Categories or textmine.Methods. Uncategorised is not
+// in Categories, so it has no bit.
 var (
-	catBit  = map[textmine.Category]uint32{}
-	methBit = map[textmine.Method]uint32{}
-	// uncatMask is Uncategorised's bit — excluded from activity unions.
-	uncatMask uint32
+	catBit  = bitIndex(textmine.Categories)
+	methBit = bitIndex(textmine.Methods)
 	// moneyMask covers the money-movement categories (currency exchange,
-	// payments, giftcard) — the MoneyContracts membership test.
-	moneyMask uint32
+	// payments, giftcard): the Table 4 / Figure 10 population.
+	moneyMask = catMaskOf([]textmine.Category{textmine.CurrencyExchange, textmine.Payments, textmine.Giftcard})
 )
 
-func init() {
-	for i, c := range textmine.Categories {
-		catBit[c] = uint32(i)
+func bitIndex[T comparable](xs []T) map[T]uint32 {
+	bit := make(map[T]uint32, len(xs))
+	for i, x := range xs {
+		bit[x] = uint32(i)
 	}
-	catBit[textmine.Uncategorised] = uint32(len(textmine.Categories))
-	uncatMask = uint32(1) << catBit[textmine.Uncategorised]
-	moneyMask = uint32(1)<<catBit[textmine.CurrencyExchange] |
-		uint32(1)<<catBit[textmine.Payments] |
-		uint32(1)<<catBit[textmine.Giftcard]
-	for i, m := range textmine.Methods {
-		methBit[m] = uint32(i)
-	}
+	return bit
 }
 
-func catMaskOf(cats []textmine.Category) uint32 {
+func maskOf[T comparable](xs []T, bit map[T]uint32) uint32 {
 	var m uint32
-	for _, c := range cats {
-		m |= 1 << catBit[c]
+	for _, x := range xs {
+		if b, ok := bit[x]; ok {
+			m |= 1 << b
+		}
 	}
 	return m
 }
 
-func methMaskOf(ms []textmine.Method) uint32 {
-	var m uint32
-	for _, meth := range ms {
-		m |= 1 << methBit[meth]
-	}
-	return m
-}
+func catMaskOf(cats []textmine.Category) uint32 { return maskOf(cats, catBit) }
+
+func methMaskOf(ms []textmine.Method) uint32 { return maskOf(ms, methBit) }
 
 // sharedGroups resolves the corpus's derived groups through the dataset's
 // cache slot: built at most once per corpus content, shared by every
@@ -154,64 +143,35 @@ func (g *corpusGroups) extend(d *dataset.Dataset) {
 	g.nContracts = row
 }
 
-// obligations returns the contract→classification table, building it on
-// first use — along with the money-contracts subset, which is a pure
-// function of the same classifications.
-func (g *corpusGroups) obligations() map[forum.ContractID]*obligation {
+// obligations returns the classification table, building it on first
+// use.
+func (g *corpusGroups) obligations() []obligation {
 	g.obligOnce.Do(func() {
-		g.oblig = make(map[forum.ContractID]*obligation, len(g.completedPublic))
+		g.oblig = make([]obligation, 0, len(g.completedPublic))
 		g.classify(g.completedPublic)
 	})
 	return g.oblig
 }
 
-// classify installs an obligation entry for each of cs into g.oblig and
-// appends the money-movement ones to g.money, in cs order. Each distinct
-// obligation text is classified exactly once (corpora repeat template
-// text heavily).
+// classify appends one obligation entry per contract of cs to g.oblig,
+// in cs order. Each distinct obligation text is classified exactly once
+// (corpora repeat template text heavily).
 func (g *corpusGroups) classify(cs []*forum.Contract) {
-	type classified struct {
-		cats     []textmine.Category
-		methods  []textmine.Method
-		catMask  uint32
-		methMask uint32
-	}
-	results := make(map[string]classified, 2*len(cs))
-	lookup := func(text string) classified {
+	type masks struct{ cats, meths uint32 }
+	results := make(map[string]masks, 2*len(cs))
+	lookup := func(text string) masks {
 		r, ok := results[text]
 		if !ok {
-			cats, methods := textmine.Classify(text)
-			r = classified{cats, methods, catMaskOf(cats), methMaskOf(methods)}
+			cats, meths := textmine.Classify(text)
+			r = masks{catMaskOf(cats), methMaskOf(meths)}
 			results[text] = r
 		}
 		return r
 	}
-	entries := make([]obligation, len(cs))
-	for i, c := range cs {
-		mk := lookup(c.MakerObligation)
-		tk := lookup(c.TakerObligation)
-		entries[i] = obligation{
-			MakerCats:     mk.cats,
-			TakerCats:     tk.cats,
-			MakerMethods:  mk.methods,
-			TakerMethods:  tk.methods,
-			makerCatMask:  mk.catMask,
-			takerCatMask:  tk.catMask,
-			makerMethMask: mk.methMask,
-			takerMethMask: tk.methMask,
-		}
-		g.oblig[c.ID] = &entries[i]
-		if (mk.catMask|tk.catMask)&moneyMask != 0 {
-			g.money = append(g.money, c)
-		}
+	for _, c := range cs {
+		mk, tk := lookup(c.MakerObligation), lookup(c.TakerObligation)
+		g.oblig = append(g.oblig, obligation{mk.cats, tk.cats, mk.meths, tk.meths})
 	}
-}
-
-// moneyContracts returns the money-movement subset, forcing the
-// obligation build it falls out of.
-func (g *corpusGroups) moneyContracts() []*forum.Contract {
-	g.obligations()
-	return g.money
 }
 
 // extractedValues returns the memoized text→quoted-values table for the

@@ -61,8 +61,7 @@ func (g *corpusGroups) clone(n int) *corpusGroups {
 		completedPublic: capped(g.completedPublic),
 		userContracts:   make(map[forum.UserID][]*forum.Contract, len(g.userContracts)+2*n),
 		firstEra:        cloneMap(g.firstEra, 2*n),
-		oblig:           cloneMap(g.oblig, n),
-		money:           capped(g.money),
+		oblig:           capped(g.oblig),
 	}
 	for m := range g.byMonth {
 		c.byMonth[m] = capped(g.byMonth[m])
@@ -77,7 +76,7 @@ func (g *corpusGroups) clone(n int) *corpusGroups {
 	return c
 }
 
-func capped(s []*forum.Contract) []*forum.Contract { return s[:len(s):len(s)] }
+func capped[T any](s []T) []T { return s[:len(s):len(s)] }
 
 // cloneMap shallow-copies m with room for extra new keys.
 func cloneMap[K comparable, V any](m map[K]V, extra int) map[K]V {

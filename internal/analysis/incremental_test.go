@@ -109,7 +109,7 @@ func TestIncrementalIndexGolden(t *testing.T) {
 	// back to SET-UP, so history buckets, the obligation table and
 	// first-era-of-use all change — and the appended index must still
 	// match a rebuild.
-	money := parentIx.MoneyContracts()[0]
+	money := analysis.MoneyContracts(parentIx)[0]
 	var later forum.UserID
 	for u, e := range parentIx.FirstEraOfUse() {
 		if e != dataset.EraSetup && (later == 0 || u < later) {
@@ -132,7 +132,7 @@ func TestIncrementalIndexGolden(t *testing.T) {
 	if e := nix.FirstEraOfUse()[later]; e != dataset.EraSetup {
 		t.Fatalf("out-of-order append left user %d's first era at %v", later, e)
 	}
-	if mc := nix.MoneyContracts(); mc[len(mc)-1].ID != nextID || len(nix.ByMonth()[0]) != len(parentIx.ByMonth()[0])+1 {
+	if mc := analysis.MoneyContracts(nix); mc[len(mc)-1].ID != nextID || len(nix.ByMonth()[0]) != len(parentIx.ByMonth()[0])+1 {
 		t.Fatal("out-of-order append did not add the month-0 money contract")
 	}
 	assertIndexMatchesRebuild(t, nd, nix)
@@ -174,7 +174,7 @@ func TestIndexAppendSiblingIsolation(t *testing.T) {
 	ix := analysis.NewIndex(d)
 	baseReport := renderSuite(t, d, ix, 1)
 
-	money := ix.MoneyContracts()
+	money := analysis.MoneyContracts(ix)
 	if len(money) < 6 {
 		t.Fatalf("corpus has %d money contracts, want at least 6", len(money))
 	}
@@ -244,15 +244,7 @@ func assertIndexMatchesRebuild(t *testing.T, d *dataset.Dataset, got *analysis.I
 	if !reflect.DeepEqual(got.FirstEraOfUse(), want.FirstEraOfUse()) {
 		t.Fatal("FirstEraOfUse diverges from rebuild")
 	}
-	if !reflect.DeepEqual(got.MoneyContracts(), want.MoneyContracts()) {
-		t.Fatal("MoneyContracts diverges from rebuild")
-	}
-	for _, c := range want.CompletedPublic() {
-		if !reflect.DeepEqual(got.MakerCategories(c), want.MakerCategories(c)) {
-			t.Fatalf("contract %d: MakerCategories diverge from rebuild", c.ID)
-		}
-		if !reflect.DeepEqual(got.TakerCategories(c), want.TakerCategories(c)) {
-			t.Fatalf("contract %d: TakerCategories diverge from rebuild", c.ID)
-		}
+	if !reflect.DeepEqual(analysis.Obligations(got), analysis.Obligations(want)) {
+		t.Fatal("obligation table diverges from rebuild")
 	}
 }

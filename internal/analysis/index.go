@@ -5,7 +5,6 @@ import (
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
-	"turnup/internal/textmine"
 )
 
 // Index is the shared view of one immutable Dataset that every suite
@@ -27,9 +26,9 @@ import (
 // Everything an Index hands out is shared and must be treated as
 // read-only; that is the same ownership discipline the stage DAG already
 // imposes on Suite slots. Construction is deterministic: the group
-// builder scans columns in corpus order (and the obligation table's
-// worker pool writes fixed, disjoint ranges), so results are identical
-// at any worker count.
+// builder scans columns in corpus order and the obligation table
+// classifies completed public contracts in that order, so results are
+// identical at any worker count.
 type Index struct {
 	// D is the underlying corpus; stages reach through the Index for it.
 	D *dataset.Dataset
@@ -37,22 +36,22 @@ type Index struct {
 	g atomic.Pointer[corpusGroups]
 }
 
-// obligation is the memoized classification of one contract's maker and
-// taker obligation text — the table that collapses five stages' worth of
-// repeated textmine.Categorize/PaymentMethods calls into one pass. The
-// bitmask forms mirror the slices over the canonical textmine orderings;
-// union-style consumers OR them instead of building per-contract maps.
+// obligation is the classification of one completed public contract's
+// maker and taker obligation text, as bitmasks over the canonical
+// textmine.Categories and textmine.Methods orderings: the one table that
+// Tables 3–5 and Figures 9–11 read instead of re-parsing the text.
+// Uncategorised has no bit, because every consumer drops it, so a zero
+// category mask means that side names no trading activity.
 type obligation struct {
-	MakerCats    []textmine.Category
-	TakerCats    []textmine.Category
-	MakerMethods []textmine.Method
-	TakerMethods []textmine.Method
-
-	makerCatMask  uint32
-	takerCatMask  uint32
-	makerMethMask uint32
-	takerMethMask uint32
+	makerCats, takerCats   uint32
+	makerMeths, takerMeths uint32
 }
+
+// cats is the union of both sides' categories.
+func (o obligation) cats() uint32 { return o.makerCats | o.takerCats }
+
+// meths is the union of both sides' payment methods.
+func (o obligation) meths() uint32 { return o.makerMeths | o.takerMeths }
 
 // NewIndex wraps a dataset. Nothing is computed until a group is first
 // requested, and the underlying groups are shared with every other Index
@@ -110,67 +109,8 @@ func (ix *Index) FirstEraOfUse() map[forum.UserID]dataset.Era {
 	return ix.groups().firstEra
 }
 
-// MakerCategories returns the memoized trading-activity categories of the
-// contract's maker obligation (falling back to a direct parse for
-// contracts outside the table — anything not completed-public).
-func (ix *Index) MakerCategories(c *forum.Contract) []textmine.Category {
-	if o := ix.obligationOf(c); o != nil {
-		return o.MakerCats
-	}
-	return textmine.Categorize(c.MakerObligation)
-}
-
-// TakerCategories is MakerCategories for the taker side.
-func (ix *Index) TakerCategories(c *forum.Contract) []textmine.Category {
-	if o := ix.obligationOf(c); o != nil {
-		return o.TakerCats
-	}
-	return textmine.Categorize(c.TakerObligation)
-}
-
-// MakerMethods returns the memoized payment methods mentioned in the
-// contract's maker obligation.
-func (ix *Index) MakerMethods(c *forum.Contract) []textmine.Method {
-	if o := ix.obligationOf(c); o != nil {
-		return o.MakerMethods
-	}
-	return textmine.PaymentMethods(c.MakerObligation)
-}
-
-// TakerMethods is MakerMethods for the taker side.
-func (ix *Index) TakerMethods(c *forum.Contract) []textmine.Method {
-	if o := ix.obligationOf(c); o != nil {
-		return o.TakerMethods
-	}
-	return textmine.PaymentMethods(c.TakerObligation)
-}
-
-func (ix *Index) obligationOf(c *forum.Contract) *obligation {
-	return ix.groups().obligations()[c.ID]
-}
-
-// categoryMask returns the union bitmask of both sides' categories,
-// Uncategorised excluded — Table 5's per-activity membership test.
-func (ix *Index) categoryMask(c *forum.Contract) uint32 {
-	if o := ix.obligationOf(c); o != nil {
-		return (o.makerCatMask | o.takerCatMask) &^ uncatMask
-	}
-	return (catMaskOf(textmine.Categorize(c.MakerObligation)) |
-		catMaskOf(textmine.Categorize(c.TakerObligation))) &^ uncatMask
-}
-
-// methodMask returns the union bitmask of both sides' payment methods.
-func (ix *Index) methodMask(c *forum.Contract) uint32 {
-	if o := ix.obligationOf(c); o != nil {
-		return o.makerMethMask | o.takerMethMask
-	}
-	return methMaskOf(textmine.PaymentMethods(c.MakerObligation)) |
-		methMaskOf(textmine.PaymentMethods(c.TakerObligation))
-}
-
-// MoneyContracts returns the completed public contracts classified into a
-// money-movement activity (currency exchange, payments, or giftcard) on
-// either side — the Table 4 / Figure 10 population.
-func (ix *Index) MoneyContracts() []*forum.Contract {
-	return ix.groups().moneyContracts()
+// obligations returns the classification table, one entry per
+// CompletedPublic contract in the same order, building it on first use.
+func (ix *Index) obligations() []obligation {
+	return ix.groups().obligations()
 }

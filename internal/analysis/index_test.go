@@ -8,6 +8,7 @@ import (
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
+	"turnup/internal/market"
 	"turnup/internal/textmine"
 )
 
@@ -90,37 +91,23 @@ func TestIndexMatchesDatasetScans(t *testing.T) {
 	}
 }
 
-// TestIndexCategoriesMatchDirect verifies the memoized obligation table
-// returns exactly what direct categorisation computes, for every
-// completed public contract and for the direct-parse fallback outside
-// the table.
+// TestIndexCategoriesMatchDirect verifies the obligation table holds
+// exactly the masks of direct classification, entry for entry, for every
+// completed public contract.
 func TestIndexCategoriesMatchDirect(t *testing.T) {
 	d := corpus(t)
 	ix := NewIndex(d)
-	for _, c := range ix.CompletedPublic() {
-		if got, want := ix.MakerCategories(c), textmine.Categorize(c.MakerObligation); !reflect.DeepEqual(got, want) {
-			t.Fatalf("contract %d: maker categories %v, direct %v", c.ID, got, want)
-		}
-		if got, want := ix.TakerCategories(c), textmine.Categorize(c.TakerObligation); !reflect.DeepEqual(got, want) {
-			t.Fatalf("contract %d: taker categories %v, direct %v", c.ID, got, want)
-		}
-		if got, want := ix.MakerMethods(c), textmine.PaymentMethods(c.MakerObligation); !reflect.DeepEqual(got, want) {
-			t.Fatalf("contract %d: maker methods %v, direct %v", c.ID, got, want)
-		}
-		if got, want := ix.TakerMethods(c), textmine.PaymentMethods(c.TakerObligation); !reflect.DeepEqual(got, want) {
-			t.Fatalf("contract %d: taker methods %v, direct %v", c.ID, got, want)
-		}
+	cs, oblig := ix.CompletedPublic(), ix.obligations()
+	if len(oblig) != len(cs) {
+		t.Fatalf("obligation table has %d entries for %d completed public contracts", len(oblig), len(cs))
 	}
-	// Fallback path: a private or incomplete contract is outside the
-	// table but must still classify.
-	for _, c := range d.Contracts {
-		if c.Public && c.IsComplete() {
-			continue
+	for i, c := range cs {
+		mc, mm := textmine.Classify(c.MakerObligation)
+		tc, tm := textmine.Classify(c.TakerObligation)
+		want := obligation{catMaskOf(mc), catMaskOf(tc), methMaskOf(mm), methMaskOf(tm)}
+		if oblig[i] != want {
+			t.Fatalf("contract %d: table entry %+v, direct %+v", c.ID, oblig[i], want)
 		}
-		if got, want := ix.MakerCategories(c), textmine.Categorize(c.MakerObligation); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fallback contract %d: %v != %v", c.ID, got, want)
-		}
-		break
 	}
 }
 
@@ -128,19 +115,21 @@ func TestIndexCategoriesMatchDirect(t *testing.T) {
 // goroutines at once — the pattern the scheduler produces when multiple
 // stages touch a cold index simultaneously. Run under -race this pins
 // the once-guard; the result checks pin that racing builders agree.
+// Each round indexes a fresh copy of the shared corpus, whose groups
+// other tests have already built and cached.
 func TestIndexConcurrentConstruction(t *testing.T) {
 	d := corpus(t)
 	for round := 0; round < 3; round++ {
-		ix := NewIndex(d)
-		ref := NewIndex(d) // built serially below, compared after the race
-		refCats := ref.MakerCategories(ref.CompletedPublic()[0])
+		ix := NewIndex(&dataset.Dataset{Users: d.Users, Contracts: d.Contracts})
+		ref := RebuildIndex(d) // built serially, compared after the race
+		refOblig := ref.obligations()
 
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				switch g % 8 {
+				switch g % 7 {
 				case 0:
 					ix.ByMonth()
 				case 1:
@@ -153,21 +142,92 @@ func TestIndexConcurrentConstruction(t *testing.T) {
 					ix.UserContracts()
 				case 5:
 					ix.FirstEraOfUse()
-				case 6:
-					ix.MoneyContracts()
 				default:
-					ix.MakerCategories(ref.CompletedPublic()[0])
+					ix.obligations()
 				}
 			}(g)
 		}
 		wg.Wait()
 
-		if got := ix.MakerCategories(ix.CompletedPublic()[0]); !reflect.DeepEqual(got, refCats) {
-			t.Fatalf("round %d: concurrent build produced %v, serial %v", round, got, refCats)
+		if !reflect.DeepEqual(ix.obligations(), refOblig) {
+			t.Fatalf("round %d: concurrent obligation build diverges from the serial one", round)
 		}
-		if !reflect.DeepEqual(ix.MoneyContracts(), ref.MoneyContracts()) {
-			t.Fatalf("round %d: MoneyContracts diverge between concurrent and serial builds", round)
+	}
+}
+
+// TestTabulateHandComputed checks the shared Table 3/4 tabulator on four
+// completed public contracts small enough to count by hand: a contract
+// naming currency exchange and Bitcoin on the maker side only, one
+// naming them on the taker side only, one naming giftcards on both
+// sides with PayPal on the maker side, and one that names no bucket.
+func TestTabulateHandComputed(t *testing.T) {
+	d := dataset.New()
+	for id := forum.UserID(1); id <= 6; id++ {
+		d.Users[id] = &forum.User{ID: id, Joined: dataset.SetupStart}
+	}
+	at := time.Date(2019, 4, 1, 0, 0, 0, 0, time.UTC)
+	add := func(id int, maker, taker forum.UserID, makerText, takerText string) {
+		c, err := forum.NewContract(forum.ContractID(id), forum.Exchange, maker, taker, at, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, err := range []error{
+			c.Accept(at.Add(time.Hour)),
+			c.MarkComplete(forum.MakerParty, at.Add(2*time.Hour)),
+			c.MarkComplete(forum.TakerParty, at.Add(3*time.Hour)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.MakerObligation, c.TakerObligation = makerText, takerText
+		d.Contracts = append(d.Contracts, c)
+	}
+	const exchange, giftcard, nothing = "exchange my btc for your funds", "amazon giftcard via paypal", "a friendly handshake"
+	add(1, 1, 2, exchange, nothing)
+	add(2, 3, 1, nothing, exchange)
+	add(3, 4, 5, giftcard, "amazon giftcard")
+	add(4, 5, 6, nothing, nothing)
+	ix := NewIndex(d)
+
+	act := Activities(ix)
+	row := func(mk, tk, both, mkUsers, tkUsers, bothUsers int) [3]SideCount {
+		return [3]SideCount{{mk, mkUsers}, {tk, tkUsers}, {both, bothUsers}}
+	}
+	got := map[textmine.Category][3]SideCount{}
+	for _, r := range act.Rows {
+		got[r.Category] = [3]SideCount{r.Makers, r.Takers, r.Both}
+	}
+	want := map[textmine.Category][3]SideCount{
+		// The taker-only exchange counts once in Both, with its taker.
+		textmine.CurrencyExchange: row(1, 1, 2, 1, 1, 1),
+		textmine.Giftcard:         row(1, 1, 1, 1, 1, 2),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Table 3 rows = %v, want %v", got, want)
+	}
+	// User 1 is on both exchanges, so the totals count three users on
+	// either side; contract 4 names no bucket, so neither it nor user 6
+	// touches a row or a total.
+	if tot := [3]SideCount{act.Total.Makers, act.Total.Takers, act.Total.Both}; tot != row(2, 2, 3, 2, 2, 3) {
+		t.Errorf("Table 3 total = %v", tot)
+	}
+
+	pay := PaymentMethods(ix)
+	gotPay := map[textmine.Method][3]SideCount{}
+	for _, r := range pay.Rows {
+		gotPay[r.Method] = [3]SideCount{r.Makers, r.Takers, r.Both}
+	}
+	wantPay := map[textmine.Method][3]SideCount{
+		textmine.MBitcoin:  row(1, 1, 2, 1, 1, 1),
+		textmine.MAmazonGC: row(1, 1, 1, 1, 1, 2),
+		textmine.MPayPal:   row(1, 0, 1, 1, 0, 1),
+	}
+	if !reflect.DeepEqual(gotPay, wantPay) {
+		t.Errorf("Table 4 rows = %v, want %v", gotPay, wantPay)
+	}
+	if tot := [3]SideCount{pay.Total.Makers, pay.Total.Takers, pay.Total.Both}; tot != row(2, 2, 3, 2, 2, 3) {
+		t.Errorf("Table 4 total = %v", tot)
 	}
 }
 
@@ -223,5 +283,26 @@ func TestIndexGroupsHandComputed(t *testing.T) {
 	}
 	if total != 2 {
 		t.Errorf("CompletedByMonth total = %d, want 2", total)
+	}
+}
+
+// BenchmarkIndexObligationBuild measures the cold group build and
+// obligation classification that a suite run over a new corpus pays
+// once, on the root package's bench corpus (seed 99, scale 0.05). Each
+// iteration builds over a fresh copy of the corpus, made outside the
+// timer and sharing its columnar projection: NewIndex over the same
+// dataset would resolve the groups the first iteration cached on it.
+func BenchmarkIndexObligationBuild(b *testing.B) {
+	d, _, err := market.Generate(market.Config{Seed: 99, Scale: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := &dataset.Dataset{Users: d.Users, Threads: d.Threads, Posts: d.Posts, Contracts: d.Contracts, Ledger: d.Ledger}
+		fresh.SetColumns(d.Columns())
+		b.StartTimer()
+		NewIndex(fresh).obligations()
 	}
 }

@@ -104,17 +104,15 @@ func Values(ix *Index) ValueReport {
 	methAcc := make([]*MethodValueRow, len(textmine.Methods))
 	userValue := map[forum.UserID]float64{}
 	extracted := ix.groups().extractedValues()
+	oblig := ix.obligations()
 
-	for _, c := range ix.CompletedPublic() {
+	for i, c := range ix.CompletedPublic() {
 		if c.Type == forum.VouchCopy {
 			continue // reputation proofs, not economic trades
 		}
-		at := c.Completed
-		if at.IsZero() {
-			at = c.Created
-		}
-		mv := firstValueUSD(lookupValues(extracted, c.MakerObligation), fxTab, at)
-		tv := firstValueUSD(lookupValues(extracted, c.TakerObligation), fxTab, at)
+		at := completedAt(c)
+		mv := firstValueUSD(extracted[c.MakerObligation], fxTab, at)
+		tv := firstValueUSD(extracted[c.TakerObligation], fxTab, at)
 		if mv == 0 && tv == 0 {
 			continue // value undeterminable for both sides: excluded
 		}
@@ -176,7 +174,7 @@ func Values(ix *Index) ValueReport {
 
 		// Table 5 left: per-activity maker/taker value sums — bitmask union
 		// of both sides' categories instead of a per-contract map.
-		for mask := ix.categoryMask(c); mask != 0; mask &= mask - 1 {
+		for mask := oblig[i].cats(); mask != 0; mask &= mask - 1 {
 			b := trailingBit(mask)
 			row := actAcc[b]
 			if row == nil {
@@ -187,7 +185,7 @@ func Values(ix *Index) ValueReport {
 			row.TakersUSD += tv
 		}
 		// Table 5 right: per-method value sums.
-		for mask := ix.methodMask(c); mask != 0; mask &= mask - 1 {
+		for mask := oblig[i].meths(); mask != 0; mask &= mask - 1 {
 			b := trailingBit(mask)
 			row := methAcc[b]
 			if row == nil {
@@ -231,16 +229,6 @@ func firstValueUSD(ms []textmine.Money, tab *fx.Table, at time.Time) float64 {
 		}
 	}
 	return 0
-}
-
-// lookupValues resolves a text's extracted values through the memo table,
-// parsing directly only for text outside it (the table covers the whole
-// §4.5 population, so this is belt-and-braces).
-func lookupValues(vals map[string][]textmine.Money, text string) []textmine.Money {
-	if ms, ok := vals[text]; ok {
-		return ms
-	}
-	return textmine.ExtractValues(text)
 }
 
 // trailingBit returns the index of the lowest set bit (mask != 0).
@@ -345,20 +333,17 @@ func ValueTrends(ix *Index, report ValueReport) ValueTrend {
 		topC[cat] = true
 	}
 
-	for _, c := range ix.CompletedPublic() {
+	oblig := ix.obligations()
+	for i, c := range ix.CompletedPublic() {
 		value, ok := report.PerContract[c.ID]
 		if !ok {
 			continue
 		}
-		at := c.Completed
-		if at.IsZero() {
-			at = c.Created
-		}
-		m := dataset.MonthOf(at)
+		m := dataset.MonthOf(completedAt(c))
 		arr := t.ByType[c.Type]
 		arr[m] += value
 		t.ByType[c.Type] = arr
-		for mask := ix.methodMask(c); mask != 0; mask &= mask - 1 {
+		for mask := oblig[i].meths(); mask != 0; mask &= mask - 1 {
 			meth := textmine.Methods[trailingBit(mask)]
 			if topM[meth] {
 				a := t.ByMethod[meth]
@@ -366,7 +351,7 @@ func ValueTrends(ix *Index, report ValueReport) ValueTrend {
 				t.ByMethod[meth] = a
 			}
 		}
-		for mask := ix.categoryMask(c); mask != 0; mask &= mask - 1 {
+		for mask := oblig[i].cats(); mask != 0; mask &= mask - 1 {
 			cat := textmine.Categories[trailingBit(mask)]
 			if topC[cat] {
 				a := t.ByCategory[cat]

@@ -376,7 +376,7 @@ func DecodeUpload(w http.ResponseWriter, r *http.Request, maxBytes int64) (*turn
 	case strings.HasPrefix(ct, turnup.ContentTypeBinary):
 		d, err = turnup.ReadBinary(r.Body)
 	case strings.Contains(ct, "zip"), ct == "", ct == "application/octet-stream":
-		d, err = readZipDataset(r.Body)
+		d, err = readZipDataset(r.Body, maxBytes)
 	default:
 		return nil, fmt.Errorf("%w (got %q)", ErrUnsupportedUpload, ct)
 	}
@@ -390,9 +390,10 @@ func DecodeUpload(w http.ResponseWriter, r *http.Request, maxBytes int64) (*turn
 }
 
 // UploadFailure maps a DecodeUpload (or Store.Add) error onto its HTTP
-// status and API v1 error code: oversized bodies are 413
-// dataset_too_large, unsupported encodings 415, and everything else —
-// malformed CSV, missing halves — 400 bad_params.
+// status and API v1 error code: oversized bodies, and zip entries that
+// decompress past the same bound, are 413 dataset_too_large;
+// unsupported encodings 415; and everything else — malformed CSV,
+// missing halves — 400 bad_params.
 func UploadFailure(err error) (status int, code string) {
 	var tooBig *http.MaxBytesError
 	switch {
@@ -470,8 +471,11 @@ func readMultipartDataset(r *http.Request) (*turnup.Dataset, error) {
 }
 
 // readZipDataset reads body as a zip archive holding contracts.csv and
-// users.csv (any directory prefix).
-func readZipDataset(body io.Reader) (*turnup.Dataset, error) {
+// users.csv (any directory prefix). The entries it reads may decompress
+// to at most maxBytes in total, the bound the body itself is held to, so
+// a small archive of highly compressible bytes cannot make it allocate
+// without limit; past that it fails as an oversized body does.
+func readZipDataset(body io.Reader, maxBytes int64) (*turnup.Dataset, error) {
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		return nil, err
@@ -481,6 +485,7 @@ func readZipDataset(body io.Reader) (*turnup.Dataset, error) {
 		return nil, fmt.Errorf("reading zip body: %w", err)
 	}
 	var contracts, users []byte
+	remaining := maxBytes
 	for _, zf := range zr.File {
 		name := zf.Name
 		if i := strings.LastIndexByte(name, '/'); i >= 0 {
@@ -493,10 +498,13 @@ func readZipDataset(body io.Reader) (*turnup.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := io.ReadAll(f)
+		b, err := io.ReadAll(io.LimitReader(f, remaining+1))
 		f.Close()
 		if err != nil {
 			return nil, err
+		}
+		if remaining -= int64(len(b)); remaining < 0 {
+			return nil, fmt.Errorf("zip entries decompress past the upload bound: %w", &http.MaxBytesError{Limit: maxBytes})
 		}
 		if name == "contracts.csv" {
 			contracts = b
