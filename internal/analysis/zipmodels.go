@@ -40,7 +40,7 @@ type ZIPEraResult struct {
 func ZIPAllUsers(ix *Index) ([]ZIPEraResult, error) {
 	specs := make([]zipFitSpec, len(dataset.Eras))
 	for i, e := range dataset.Eras {
-		specs[i] = zipFitSpec{era: e, subset: "all", withFirstTime: e != dataset.EraSetup}
+		specs[i] = zipFitSpec{era: e, subset: "all"}
 	}
 	return fitZIPSpecs(ix, specs)
 }
@@ -59,9 +59,8 @@ func ZIPSubgroups(ix *Index) ([]ZIPEraResult, error) {
 
 // zipFitSpec is one (era, subset) model of Tables 9/10.
 type zipFitSpec struct {
-	era           dataset.Era
-	subset        string
-	withFirstTime bool
+	era    dataset.Era
+	subset string
 }
 
 // fitZIPSpecs runs the per-era fits concurrently. Each fit is
@@ -76,8 +75,11 @@ func fitZIPSpecs(ix *Index, specs []zipFitSpec) ([]ZIPEraResult, error) {
 		wg.Add(1)
 		go func(i int, s zipFitSpec) {
 			defer wg.Done()
-			recs := zipRecords(ix, s.era, s.subset)
-			model, err := fitZIP(recs, s.withFirstTime)
+			d, err := NewZIPDesign(ix, s.era, s.subset)
+			var model *stats.ZIPResult
+			if err == nil {
+				model, err = stats.ZIPRegression(d.CountX, d.Y, d.ZeroX, d.CountNames, d.ZeroNames)
+			}
 			if err != nil {
 				if s.subset == "all" {
 					errs[i] = fmt.Errorf("analysis: ZIP %v: %w", s.era, err)
@@ -86,7 +88,7 @@ func fitZIPSpecs(ix *Index, specs []zipFitSpec) ([]ZIPEraResult, error) {
 				}
 				return
 			}
-			out[i] = ZIPEraResult{Era: s.era, Subset: s.subset, Model: model, Records: len(recs)}
+			out[i] = ZIPEraResult{Era: s.era, Subset: s.subset, Model: model, Records: len(d.Y)}
 		}(i, s)
 	}
 	wg.Wait()
@@ -175,15 +177,29 @@ func zipRecords(ix *Index, e dataset.Era, subset string) []ZIPUserRecord {
 	return out
 }
 
-// fitZIP assembles the designs (square-root transforms on the skewed
-// covariates, per the paper) and fits the zero-inflated Poisson model.
-// The count model uses all covariates; the zero model uses disputes,
-// negative ratings, the first-time flag (when present), and length.
-func fitZIP(recs []ZIPUserRecord, withFirstTime bool) (*stats.ZIPResult, error) {
+// ZIPDesign is one Table 9/10 model's inputs: the count and zero designs
+// over the model's users, the response (completed contracts), and the
+// coefficient names.
+type ZIPDesign struct {
+	CountX, ZeroX         *stats.Matrix
+	Y                     []float64
+	CountNames, ZeroNames []string
+}
+
+// NewZIPDesign assembles the (era, subset) model's designs, with
+// square-root transforms on the skewed covariates, per the paper. The
+// count model uses all covariates; the zero model uses disputes, negative
+// ratings, the first-time flag and length. Only the all-users models of
+// STABLE and COVID-19 carry the first-time flag: in SET-UP every user is
+// a first-time user of the brand-new system, and a subset model holds
+// one kind of user only.
+func NewZIPDesign(ix *Index, e dataset.Era, subset string) (*ZIPDesign, error) {
+	recs := zipRecords(ix, e, subset)
 	n := len(recs)
 	if n < 30 {
 		return nil, fmt.Errorf("only %d records", n)
 	}
+	withFirstTime := subset == "all" && e != dataset.EraSetup
 	countNames := []string{
 		"(Intercept)", "Disputes", "Positive Rating", "Negative Rating",
 		"Marketplace Post Count", "No. of Initiated Contracts", "No. of Accepted Contracts",
@@ -223,5 +239,5 @@ func fitZIP(recs []ZIPUserRecord, withFirstTime bool) (*stats.ZIPResult, error) 
 			zeroX.Set(i, j, v)
 		}
 	}
-	return stats.ZIPRegression(countX, y, zeroX, countNames, zeroNames)
+	return &ZIPDesign{CountX: countX, ZeroX: zeroX, Y: y, CountNames: countNames, ZeroNames: zeroNames}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
 	"turnup/internal/graph"
+	"turnup/internal/stats"
 )
 
 // Taxonomy renders Table 1.
@@ -289,25 +290,41 @@ func DegreeGrowth(g analysis.DegreeGrowth) string {
 }
 
 // ZIPModels renders Tables 9/10-style output for the fitted era models.
+// A fit that stopped at its iteration cap says so on its header line. A
+// zero-part coefficient that the data do not identify prints as such,
+// with no standard error, z value or stars, and a zero part with no
+// identified coefficient prints as one line.
 func ZIPModels(title string, results []analysis.ZIPEraResult) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
 	for _, r := range results {
 		m := r.Model
-		fmt.Fprintf(&b, "\n%s (%s): n=%d, %%zero=%.1f, McFadden R²=%.3f, Vuong=%.2f (p=%.4f)\n",
+		fmt.Fprintf(&b, "\n%s (%s): n=%d, %%zero=%.1f, McFadden R²=%.3f, Vuong=%.2f (p=%.4f)",
 			r.Era, r.Subset, m.N, m.PctZero, m.McFadden, m.Vuong, m.VuongP)
-		b.WriteString("  Count model:\n")
-		for j, name := range m.Count.Names {
-			fmt.Fprintf(&b, "    %-28s %9.3f  (se %7.3f)  z=%8.2f %s\n",
-				name, m.Count.Coef[j], m.Count.StdErr[j], m.Count.ZValues[j], m.Count.Stars(j))
+		if !m.Converged {
+			b.WriteString(" [not converged]")
+		}
+		b.WriteString("\n  Count model:\n")
+		writeCoefs(&b, m.Count)
+		if !m.Zero.AnyIdentified() {
+			b.WriteString("  Zero-inflation model: zero part not identified\n")
+			continue
 		}
 		b.WriteString("  Zero-inflation model:\n")
-		for j, name := range m.Zero.Names {
-			fmt.Fprintf(&b, "    %-28s %9.3f  (se %7.3f)  z=%8.2f %s\n",
-				name, m.Zero.Coef[j], m.Zero.StdErr[j], m.Zero.ZValues[j], m.Zero.Stars(j))
-		}
+		writeCoefs(&b, m.Zero)
 	}
 	return b.String()
+}
+
+func writeCoefs(b *strings.Builder, c *stats.CoefBlock) {
+	for j, name := range c.Names {
+		if !c.Identified[j] {
+			fmt.Fprintf(b, "    %-28s not identified\n", name)
+			continue
+		}
+		fmt.Fprintf(b, "    %-28s %9.3f  (se %7.3f)  z=%8.2f %s\n",
+			name, c.Coef[j], c.StdErr[j], c.ZValues[j], c.Stars(j))
+	}
 }
 
 // LatentClasses renders Table 6 from a fitted LTM.

@@ -2,13 +2,16 @@ package report
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"turnup/internal/analysis"
+	"turnup/internal/dataset"
 	"turnup/internal/market"
 	"turnup/internal/rng"
+	"turnup/internal/stats"
 )
 
 // The renderer tests share one tiny corpus and suite.
@@ -162,6 +165,51 @@ func TestCompareAgainstSuite(t *testing.T) {
 	} {
 		if !ids[want] {
 			t.Errorf("no comparison rows for %s", want)
+		}
+	}
+}
+
+func TestZIPModelsMarksUnidentifiedAndUnconverged(t *testing.T) {
+	nan := math.NaN()
+	block := func(names []string, identified []bool) *stats.CoefBlock {
+		b := &stats.CoefBlock{Names: names, Identified: identified}
+		for _, id := range identified {
+			if id {
+				b.Coef = append(b.Coef, 0.5)
+				b.StdErr = append(b.StdErr, 0.1)
+				b.ZValues = append(b.ZValues, 5)
+				b.PValues = append(b.PValues, 1e-6)
+			} else {
+				b.Coef = append(b.Coef, -12.5)
+				b.StdErr = append(b.StdErr, nan)
+				b.ZValues = append(b.ZValues, nan)
+				b.PValues = append(b.PValues, nan)
+			}
+		}
+		return b
+	}
+	count := block([]string{"(Intercept)", "Disputes"}, []bool{true, true})
+	results := []analysis.ZIPEraResult{
+		{Era: dataset.EraStable, Subset: "all", Model: &stats.ZIPResult{
+			Count: count, Zero: block([]string{"(Intercept)", "Disputes"}, []bool{true, false}), Converged: true}},
+		{Era: dataset.EraCovid, Subset: "all", Model: &stats.ZIPResult{
+			Count: count, Zero: block([]string{"(Intercept)", "Disputes"}, []bool{false, false})}},
+	}
+	out := ZIPModels("Table 9: test", results)
+	stable, covid, _ := strings.Cut(out, "\nCOVID-19")
+	if strings.Contains(stable, "not converged") || !strings.Contains(covid, "[not converged]\n") {
+		t.Errorf("convergence marks misplaced:\n%s", out)
+	}
+	if !strings.Contains(stable, "    Disputes                     not identified\n") ||
+		!strings.Contains(stable, "    (Intercept)                      0.500  (se   0.100)  z=    5.00 ***\n") {
+		t.Errorf("STABLE zero part:\n%s", stable)
+	}
+	if !strings.Contains(covid, "  Zero-inflation model: zero part not identified\n") {
+		t.Errorf("COVID-19 zero part:\n%s", covid)
+	}
+	for _, bad := range []string{"NaN", "-12.5"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("output shows an unidentified coefficient's %q:\n%s", bad, out)
 		}
 	}
 }

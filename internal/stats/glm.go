@@ -28,13 +28,17 @@ func clampEta(eta float64) float64 {
 // observation weights (nil for unit weights). X must include an
 // intercept column if one is desired. Only the coefficients are
 // estimated: the ZIP EM's M-step and starting point need nothing else.
-func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
+// IRLS starts from start, or from the log of the weighted mean in the
+// intercept when start is nil.
+func poissonFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return irlsFit{}, err
 	}
-	beta := make([]float64, x.Cols)
-	// Start from the log of the weighted mean for the intercept-ish scale.
-	beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
+	beta := start
+	if beta == nil {
+		beta = make([]float64, x.Cols)
+		beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
+	}
 	work := func(beta, w, z []float64) {
 		for i := range w {
 			wi := priorWeight(weights, i)
@@ -74,8 +78,9 @@ func poissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
 // logisticFit fits y ~ Bernoulli(logistic(X·beta)) by Newton's method.
 // The response may be fractional (values in [0,1]) — the ZIP M-step
 // relies on this — in which case the "likelihood" is the usual
-// quasi-likelihood with fractional successes. weights may be nil.
-func logisticFit(x *Matrix, y, weights []float64) (irlsFit, error) {
+// quasi-likelihood with fractional successes. weights may be nil. Newton
+// starts from start, or from zero when start is nil.
+func logisticFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return irlsFit{}, err
 	}
@@ -97,8 +102,11 @@ func logisticFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 			z[i] = eta + (y[i]-mu)/v
 		}
 	}
+	if start == nil {
+		start = make([]float64, x.Cols)
+	}
 	lik := func(beta []float64) float64 { return logisticLogLik(x, y, weights, beta) }
-	fit, err := irls(x, make([]float64, x.Cols), work, lik)
+	fit, err := irls(x, start, work, lik)
 	if err != nil {
 		return irlsFit{}, fmt.Errorf("stats: logistic Newton step failed: %w", err)
 	}

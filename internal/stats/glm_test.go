@@ -34,7 +34,7 @@ func TestPoissonRegressionRecovery(t *testing.T) {
 		mu := math.Exp(trueBeta[0] + trueBeta[1]*x1[i] + trueBeta[2]*x2[i])
 		y[i] = float64(src.Poisson(mu))
 	}
-	res, err := poissonFit(buildDesign(x1, x2), y, nil)
+	res, err := poissonFit(buildDesign(x1, x2), y, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPoissonRegressionInterceptOnly(t *testing.T) {
 	for i := range y {
 		x.Set(i, 0, 1)
 	}
-	res, err := poissonFit(x, y, nil)
+	res, err := poissonFit(x, y, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPoissonRegressionWeights(t *testing.T) {
 		x.Set(i, 0, 1)
 	}
 	w := []float64{1, 1, 1, 0}
-	res, err := poissonFit(x, y, w)
+	res, err := poissonFit(x, y, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +83,17 @@ func TestPoissonRegressionWeights(t *testing.T) {
 
 func TestPoissonRegressionErrors(t *testing.T) {
 	x := NewMatrix(2, 1)
-	if _, err := poissonFit(x, []float64{1}, nil); err == nil {
+	if _, err := poissonFit(x, []float64{1}, nil, nil); err == nil {
 		t.Error("row mismatch accepted")
 	}
-	if _, err := poissonFit(NewMatrix(0, 0), nil, nil); err == nil {
+	if _, err := poissonFit(NewMatrix(0, 0), nil, nil, nil); err == nil {
 		t.Error("empty design accepted")
 	}
-	if _, err := poissonFit(x, []float64{1, 2}, []float64{1}); err == nil {
+	if _, err := poissonFit(x, []float64{1, 2}, []float64{1}, nil); err == nil {
 		t.Error("weight length mismatch accepted")
 	}
 	under := NewMatrix(1, 3)
-	if _, err := poissonFit(under, []float64{1}, nil); err == nil {
+	if _, err := poissonFit(under, []float64{1}, nil, nil); err == nil {
 		t.Error("under-determined design accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestLogisticRegressionRecovery(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	res, err := logisticFit(buildDesign(x1), y, nil)
+	res, err := logisticFit(buildDesign(x1), y, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLogisticFractionalResponse(t *testing.T) {
 	for i := range y {
 		x.Set(i, 0, 1)
 	}
-	res, err := logisticFit(x, y, nil)
+	res, err := logisticFit(x, y, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLogisticRejectsOutOfRange(t *testing.T) {
 	x := NewMatrix(2, 1)
 	x.Set(0, 0, 1)
 	x.Set(1, 0, 1)
-	if _, err := logisticFit(x, []float64{0, 1.5}, nil); err == nil {
+	if _, err := logisticFit(x, []float64{0, 1.5}, nil, nil); err == nil {
 		t.Error("response > 1 accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestLogisticSeparationSurvives(t *testing.T) {
 	// eta and ridge fallback must keep the fit finite and errorless.
 	x1 := []float64{-2, -1, 1, 2}
 	y := []float64{0, 0, 1, 1}
-	res, err := logisticFit(buildDesign(x1), y, nil)
+	res, err := logisticFit(buildDesign(x1), y, nil, nil)
 	if err != nil {
 		t.Fatalf("separation broke the fit: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestGLMLogLikMatchesManual(t *testing.T) {
 	for i := range y {
 		x.Set(i, 0, 1)
 	}
-	res, err := poissonFit(x, y, nil)
+	res, err := poissonFit(x, y, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

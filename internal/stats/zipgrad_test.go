@@ -8,10 +8,10 @@ import (
 	"turnup/internal/rng"
 )
 
-// The direct-maximisation ZIP solver is a reference for the EM solver in
-// zip.go: TestZIPGradientMatchesEM checks that both reach the same
-// optimum, and the BenchmarkAblationZIPSolver pair compares their cost
-// (DESIGN.md §6). Nothing outside the tests calls it.
+// The direct-maximisation ZIP solver is a reference for ZIPRegression's
+// EM and Newton finish in zip.go: TestZIPGradientMatchesEM checks that
+// both reach the same optimum, and the BenchmarkAblationZIPSolver pair
+// compares their cost (DESIGN.md §6). Nothing outside the tests calls it.
 
 // ZIPGradientResult is the lean output of the direct-maximisation ZIP
 // solver of the DESIGN.md §6 solver ablation: coefficients and the
@@ -39,7 +39,7 @@ func ZIPRegressionGradient(countX *Matrix, y []float64, zeroX *Matrix) (*ZIPGrad
 	n := len(y)
 
 	// Warm start like the EM: Poisson fit + empirical zero share.
-	pois, err := poissonFit(countX, y, nil)
+	pois, err := poissonFit(countX, y, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("stats: gradient ZIP init: %w", err)
 	}
