@@ -24,116 +24,137 @@ func clampEta(eta float64) float64 {
 	return eta
 }
 
+// glm is one IRLS problem: the design, the response, optional prior
+// observation weights (nil for unit weights) and the family, Poisson
+// with log link or Bernoulli with logit link. A Poisson problem carries
+// lg, lgammaCount(round(y_i)) per row, for its likelihood.
+type glm struct {
+	x          *Matrix
+	y, weights []float64
+	logistic   bool
+	lg         []float64
+}
+
+// irlsWork is an IRLS loop's per-row scratch: the clamped linear
+// predictor and the mean at the current iterate, the mean at the
+// previous iterate, and the working weight and response. A ZIP fit
+// reuses one per model part across all its M-steps.
+type irlsWork struct {
+	eta, mu, prevMu []float64
+	w, z            []float64
+}
+
+func newIRLSWork(n int) *irlsWork {
+	return &irlsWork{
+		eta: make([]float64, n), mu: make([]float64, n), prevMu: make([]float64, n),
+		w: make([]float64, n), z: make([]float64, n),
+	}
+}
+
 // poissonFit fits y ~ Poisson(exp(X·beta)) by IRLS with optional prior
-// observation weights (nil for unit weights). X must include an
-// intercept column if one is desired. Only the coefficients are
-// estimated: the ZIP EM's M-step and starting point need nothing else.
-// IRLS starts from start, or from the log of the weighted mean in the
-// intercept when start is nil.
-func poissonFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
+// observation weights (nil for unit weights), starting from the log of
+// the weighted mean in the intercept. X must include an intercept column
+// if one is desired. Only the coefficients are estimated: the ZIP fit's
+// starting point and Vuong alternative need nothing else.
+func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return irlsFit{}, err
 	}
-	beta := start
-	if beta == nil {
-		beta = make([]float64, x.Cols)
-		beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
-	}
-	work := func(beta, w, z []float64) {
-		for i := range w {
-			wi := priorWeight(weights, i)
-			eta := clampEta(Dot(x.Row(i), beta))
-			mu := math.Exp(eta)
-			w[i] = wi * mu
-			if mu > 0 {
-				z[i] = eta + (y[i]-mu)/mu
-			} else {
-				z[i] = eta
-			}
-		}
-	}
-	lik := func(beta []float64) float64 { return poissonLogLik(x, y, weights, beta) }
-	fit, err := irls(x, beta, work, lik)
+	beta := make([]float64, x.Cols)
+	beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
+	g := poissonGLM(x, y, weights)
+	ws := newIRLSWork(len(y))
+	g.means(beta, ws.eta, ws.mu)
+	fit, err := g.irls(beta, ws)
 	if err != nil {
 		return irlsFit{}, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
 	}
 	return fit, nil
 }
 
-// poissonLogLik sums wi·log P(y_i | beta) over the rows with a positive
-// prior weight (the IRLS stop test's convention).
-func poissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
-	lik := 0.0
-	for i := 0; i < x.Rows; i++ {
-		wi := priorWeight(weights, i)
-		if !(wi > 0) {
-			continue
-		}
-		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
-		lik += wi * PoissonLogPMF(int(math.Round(y[i])), mu)
+// poissonGLM is the Poisson problem of y on x, with lgamma(round(y)+1)
+// tabulated per row.
+func poissonGLM(x *Matrix, y, weights []float64) glm {
+	lg := make([]float64, len(y))
+	for i, v := range y {
+		lg[i] = lgammaCount(int(math.Round(v)))
 	}
-	return lik
+	return glm{x: x, y: y, weights: weights, lg: lg}
 }
 
-// logisticFit fits y ~ Bernoulli(logistic(X·beta)) by Newton's method.
-// The response may be fractional (values in [0,1]) — the ZIP M-step
-// relies on this — in which case the "likelihood" is the usual
-// quasi-likelihood with fractional successes. weights may be nil. Newton
-// starts from start, or from zero when start is nil.
-func logisticFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
-	if err := checkDesign(x, y, weights); err != nil {
-		return irlsFit{}, err
-	}
-	for _, v := range y {
-		if v < 0 || v > 1 {
-			return irlsFit{}, errors.New("stats: logistic response outside [0,1]")
+// means fills eta and mu with every row's clamped linear predictor and
+// mean under beta.
+func (g *glm) means(beta, eta, mu []float64) {
+	for i := range eta {
+		e := clampEta(Dot(g.x.Row(i), beta))
+		eta[i] = e
+		if g.logistic {
+			mu[i] = 1 / (1 + math.Exp(-e))
+		} else {
+			mu[i] = math.Exp(e)
 		}
 	}
-	work := func(beta, w, z []float64) {
-		for i := range w {
-			wi := priorWeight(weights, i)
-			eta := clampEta(Dot(x.Row(i), beta))
-			mu := 1 / (1 + math.Exp(-eta))
-			v := mu * (1 - mu)
+}
+
+// working fills ws.w and ws.z with every row's working weight and
+// response from the linear predictors and means in ws.eta and ws.mu.
+func (g *glm) working(ws *irlsWork) {
+	for i, m := range ws.mu {
+		wi := priorWeight(g.weights, i)
+		eta := ws.eta[i]
+		if g.logistic {
+			v := m * (1 - m)
 			if v < 1e-10 {
 				v = 1e-10
 			}
-			w[i] = wi * v
-			z[i] = eta + (y[i]-mu)/v
+			ws.w[i] = wi * v
+			ws.z[i] = eta + (g.y[i]-m)/v
+			continue
+		}
+		ws.w[i] = wi * m
+		if m > 0 {
+			ws.z[i] = eta + (g.y[i]-m)/m
+		} else {
+			ws.z[i] = eta
 		}
 	}
-	if start == nil {
-		start = make([]float64, x.Cols)
-	}
-	lik := func(beta []float64) float64 { return logisticLogLik(x, y, weights, beta) }
-	fit, err := irls(x, start, work, lik)
-	if err != nil {
-		return irlsFit{}, fmt.Errorf("stats: logistic Newton step failed: %w", err)
-	}
-	return fit, nil
 }
 
-func bernoulliLogLik(y, mu float64) float64 {
-	const eps = 1e-12
-	if mu < eps {
-		mu = eps
-	}
-	if mu > 1-eps {
-		mu = 1 - eps
-	}
-	return y*math.Log(mu) + (1-y)*math.Log(1-mu)
-}
-
-// logisticLogLik is poissonLogLik's Bernoulli counterpart.
-func logisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+// logLik is the stop test's likelihood, wi·log P(y_i) summed in row
+// order over the rows with a positive prior weight, from the rows' means
+// mu. A term's 0·log factor is left out: it is ±0, and adding ±0 to a
+// finite term changes no bit. For a Poisson count k = 0 the term is
+// then −mu, since lgamma(1) = 0. The Bernoulli mean is kept within
+// [1e-12, 1−1e-12].
+func (g *glm) logLik(mu []float64) float64 {
 	lik := 0.0
-	for i := 0; i < x.Rows; i++ {
-		wi := priorWeight(weights, i)
+	for i, m := range mu {
+		wi := priorWeight(g.weights, i)
 		if !(wi > 0) {
 			continue
 		}
-		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
-		lik += wi * bernoulliLogLik(y[i], mu)
+		y := g.y[i]
+		t := -m
+		if g.logistic {
+			const eps = 1e-12
+			if m < eps {
+				m = eps
+			}
+			if m > 1-eps {
+				m = 1 - eps
+			}
+			switch y {
+			case 0:
+				t = math.Log(1 - m)
+			case 1:
+				t = math.Log(m)
+			default:
+				t = y*math.Log(m) + (1-y)*math.Log(1-m)
+			}
+		} else if k := math.Round(y); k != 0 {
+			t = k*math.Log(m) - m - g.lg[i]
+		}
+		lik += wi * t
 	}
 	return lik
 }
@@ -147,26 +168,26 @@ type irlsFit struct {
 }
 
 // irls runs the Newton/IRLS loop shared by the Poisson and logistic fits
-// from the starting coefficients beta. work fills every row's working
-// weight and response at the current coefficients; loglik is the
-// quasi-likelihood the stop test compares between consecutive iterates.
+// from the starting coefficients beta, in the scratch ws. On entry
+// ws.eta and ws.mu must hold the linear predictors and means at beta:
+// the ZIP E-step has computed them already for its M-steps.
 //
 // The loop stops when both the coefficient step and the likelihood change
-// are small. The likelihood is a pure function of the coefficients, so it
-// is evaluated only once the step test holds, for the current and the
-// previous iterate, and remembered for the next iteration: the stop
-// decisions, and so the iterations and coefficients, are exactly those of
-// evaluating it on every iteration.
-func irls(x *Matrix, beta []float64, work func(beta, w, z []float64), loglik func(beta []float64) float64) (irlsFit, error) {
-	n := x.Rows
-	w := make([]float64, n) // IRLS working weights
-	z := make([]float64, n) // working response
-	var prevBeta []float64
+// are small. The likelihood is evaluated only once the step test holds,
+// for the current and the previous iterate, from the means the loop
+// computed for them: ws.mu and ws.prevMu swap each iteration. It is
+// remembered for the next iteration, so the stop decisions, and so the
+// iterations and coefficients, are exactly those of evaluating it from
+// the coefficients on every iteration.
+func (g *glm) irls(beta []float64, ws *irlsWork) (irlsFit, error) {
 	lik, prevLik := 0.0, math.Inf(-1)
 	haveLik, havePrev := false, true
 	for iter := 1; iter <= glmMaxIter; iter++ {
-		work(beta, w, z)
-		next, err := SolveSPD(XtWX(x, w), XtWz(x, w, z))
+		if iter > 1 {
+			g.means(beta, ws.eta, ws.mu)
+		}
+		g.working(ws)
+		next, err := SolveSPD(XtWX(g.x, ws.w), XtWz(g.x, ws.w, ws.z))
 		if err != nil {
 			return irlsFit{}, err
 		}
@@ -176,17 +197,18 @@ func irls(x *Matrix, beta []float64, work func(beta, w, z []float64), loglik fun
 		}
 		if delta < 1e-7 {
 			if !haveLik {
-				lik, haveLik = loglik(beta), true
+				lik, haveLik = g.logLik(ws.mu), true
 			}
 			if !havePrev {
-				prevLik, havePrev = loglik(prevBeta), true
+				prevLik, havePrev = g.logLik(ws.prevMu), true
 			}
 			if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) {
 				return irlsFit{coef: next, iters: iter, converged: true}, nil
 			}
 		}
-		prevBeta, prevLik, havePrev = beta, lik, haveLik
+		prevLik, havePrev = lik, haveLik
 		beta, haveLik = next, false
+		ws.mu, ws.prevMu = ws.prevMu, ws.mu
 	}
 	return irlsFit{coef: beta, iters: glmMaxIter}, nil
 }

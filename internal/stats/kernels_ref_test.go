@@ -275,7 +275,7 @@ func refLogisticRegression(x *Matrix, y, weights []float64) (irlsFit, error) {
 			w[i] = wi * v
 			z[i] = eta + (y[i]-mu)/v
 			if wi > 0 {
-				lik += wi * bernoulliLogLik(y[i], mu)
+				lik += wi * refBernoulliLogLik(y[i], mu)
 			}
 		}
 		gram := refXtWX(x, w)
@@ -374,6 +374,10 @@ func refZIPLogLik(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []floa
 	return lik
 }
 
+// refZIPStdErrs returns sqrt(diag(inv(−H))) of a central-difference
+// Hessian of the log-likelihood at (beta, gamma), each coefficient
+// stepped by 1e-4·(|θ|+0.01): the standard errors ZIPRegression reported
+// before it took them from the analytic information.
 func refZIPStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []float64) ([]float64, error) {
 	p, q := len(beta), len(gamma)
 	k := p + q
@@ -421,4 +425,211 @@ func refZIPStdErrs(countX *Matrix, y []float64, zeroX *Matrix, beta, gamma []flo
 		se[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
 	}
 	return se, nil
+}
+
+func refBernoulliLogLik(y, mu float64) float64 {
+	const eps = 1e-12
+	if mu < eps {
+		mu = eps
+	}
+	if mu > 1-eps {
+		mu = 1 - eps
+	}
+	return y*math.Log(mu) + (1-y)*math.Log(1-mu)
+}
+
+// refPoissonLogLik sums wi·log P(y_i | beta) over the rows with a
+// positive prior weight, recomputing every row's mean.
+func refPoissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+	lik := 0.0
+	for i := 0; i < x.Rows; i++ {
+		wi := priorWeight(weights, i)
+		if !(wi > 0) {
+			continue
+		}
+		mu := math.Exp(clampEta(Dot(x.Row(i), beta)))
+		lik += wi * refPoissonLogPMF(int(math.Round(y[i])), mu)
+	}
+	return lik
+}
+
+// refLogisticLogLik is refPoissonLogLik's Bernoulli counterpart.
+func refLogisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
+	lik := 0.0
+	for i := 0; i < x.Rows; i++ {
+		wi := priorWeight(weights, i)
+		if !(wi > 0) {
+			continue
+		}
+		mu := 1 / (1 + math.Exp(-clampEta(Dot(x.Row(i), beta))))
+		lik += wi * refBernoulliLogLik(y[i], mu)
+	}
+	return lik
+}
+
+// refIRLS is the IRLS loop whose stop test recomputes the likelihood
+// from the coefficients: once the step test holds, loglik runs for the
+// current and the previous iterate (each remembered for the next
+// iteration).
+func refIRLS(x *Matrix, beta []float64, work func(beta, w, z []float64), loglik func(beta []float64) float64) (irlsFit, error) {
+	n := x.Rows
+	w := make([]float64, n)
+	z := make([]float64, n)
+	var prevBeta []float64
+	lik, prevLik := 0.0, math.Inf(-1)
+	haveLik, havePrev := false, true
+	for iter := 1; iter <= glmMaxIter; iter++ {
+		work(beta, w, z)
+		next, err := SolveSPD(refXtWX(x, w), refXtWz(x, w, z))
+		if err != nil {
+			return irlsFit{}, err
+		}
+		delta := 0.0
+		for j := range beta {
+			delta += math.Abs(next[j] - beta[j])
+		}
+		if delta < 1e-7 {
+			if !haveLik {
+				lik, haveLik = loglik(beta), true
+			}
+			if !havePrev {
+				prevLik, havePrev = loglik(prevBeta), true
+			}
+			if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) {
+				return irlsFit{coef: next, iters: iter, converged: true}, nil
+			}
+		}
+		prevBeta, prevLik, havePrev = beta, lik, haveLik
+		beta, haveLik = next, false
+	}
+	return irlsFit{coef: beta, iters: glmMaxIter}, nil
+}
+
+// refPoissonFit is the Poisson IRLS from start (nil: the log of the
+// weighted mean) on refIRLS.
+func refPoissonFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return irlsFit{}, err
+	}
+	beta := start
+	if beta == nil {
+		beta = make([]float64, x.Cols)
+		beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
+	}
+	work := func(beta, w, z []float64) {
+		for i := range w {
+			wi := priorWeight(weights, i)
+			eta := clampEta(Dot(x.Row(i), beta))
+			mu := math.Exp(eta)
+			w[i] = wi * mu
+			if mu > 0 {
+				z[i] = eta + (y[i]-mu)/mu
+			} else {
+				z[i] = eta
+			}
+		}
+	}
+	lik := func(beta []float64) float64 { return refPoissonLogLik(x, y, weights, beta) }
+	return refIRLS(x, beta, work, lik)
+}
+
+// refLogisticFit is the logistic Newton fit from start (nil: zero) on
+// refIRLS.
+func refLogisticFit(x *Matrix, y, weights, start []float64) (irlsFit, error) {
+	if err := checkDesign(x, y, weights); err != nil {
+		return irlsFit{}, err
+	}
+	for _, v := range y {
+		if v < 0 || v > 1 {
+			return irlsFit{}, errors.New("stats: logistic response outside [0,1]")
+		}
+	}
+	work := func(beta, w, z []float64) {
+		for i := range w {
+			wi := priorWeight(weights, i)
+			eta := clampEta(Dot(x.Row(i), beta))
+			mu := 1 / (1 + math.Exp(-eta))
+			v := mu * (1 - mu)
+			if v < 1e-10 {
+				v = 1e-10
+			}
+			w[i] = wi * v
+			z[i] = eta + (y[i]-mu)/v
+		}
+	}
+	if start == nil {
+		start = make([]float64, x.Cols)
+	}
+	lik := func(beta []float64) float64 { return refLogisticLogLik(x, y, weights, beta) }
+	return refIRLS(x, start, work, lik)
+}
+
+// refEM is where an EM stopped: the coefficients, the EM iterations,
+// and the IRLS iterations of each M-step's count and zero fits.
+type refEM struct {
+	beta, gamma         []float64
+	iters               int
+	countIRLS, zeroIRLS []int
+}
+
+// refZIPWarmEM is ZIPRegression's EM with its starting Poisson fit, as
+// it stood before the IRLS stop test read stored means and the M-steps
+// took the E-step's means: every M-step fit starts from the previous
+// coefficients and recomputes every mean it needs.
+func refZIPWarmEM(countX *Matrix, y []float64, zeroX *Matrix) (refEM, error) {
+	pois, err := refPoissonFit(countX, y, nil, nil)
+	if err != nil {
+		return refEM{}, err
+	}
+	out := refEM{beta: pois.coef, gamma: make([]float64, zeroX.Cols)}
+	n := len(y)
+	zeroShare := 0.0
+	for _, v := range y {
+		if v == 0 {
+			zeroShare++
+		}
+	}
+	zeroShare /= float64(n)
+	out.gamma[0] = math.Log((zeroShare + 0.05) / (1 - zeroShare + 0.05))
+
+	r := make([]float64, n)
+	wCount := make([]float64, n)
+	prev := math.Inf(-1)
+	for iter := 1; iter <= zipMaxIter; iter++ {
+		out.iters = iter
+		lik := 0.0
+		for i := 0; i < n; i++ {
+			mu := math.Exp(clampEta(Dot(countX.Row(i), out.beta)))
+			pi := 1 / (1 + math.Exp(-clampEta(Dot(zeroX.Row(i), out.gamma))))
+			if y[i] == 0 {
+				pz := pi + (1-pi)*math.Exp(-mu)
+				if pz < 1e-300 {
+					pz = 1e-300
+				}
+				r[i] = pi / pz
+				lik += math.Log(pz)
+			} else {
+				r[i] = 0
+				lik += math.Log1p(-pi) + refPoissonLogPMF(int(y[i]), mu)
+			}
+			wCount[i] = 1 - r[i]
+		}
+		if math.Abs(lik-prev) < zipEMTol*(math.Abs(lik)+1) {
+			break
+		}
+		prev = lik
+		pfit, err := refPoissonFit(countX, y, wCount, out.beta)
+		if err != nil {
+			return refEM{}, err
+		}
+		out.beta = pfit.coef
+		out.countIRLS = append(out.countIRLS, pfit.iters)
+		lfit, err := refLogisticFit(zeroX, r, nil, out.gamma)
+		if err != nil {
+			return refEM{}, err
+		}
+		out.gamma = lfit.coef
+		out.zeroIRLS = append(out.zeroIRLS, lfit.iters)
+	}
+	return out, nil
 }

@@ -99,8 +99,8 @@ const (
 // some of its coefficients would otherwise run to infinity. Those that
 // the ridge rather than the data places are flagged as not identified.
 //
-// Standard errors of the identified coefficients come from the
-// numerically evaluated observed information matrix at the optimum.
+// Standard errors of the identified coefficients come from the analytic
+// observed information at the optimum, without the ridge.
 func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroNames []string) (*ZIPResult, error) {
 	if err := checkDesign(countX, y, nil); err != nil {
 		return nil, err
@@ -128,7 +128,7 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 	zd := newZIPData(countX, y, zeroX)
 	// One plain Poisson fit serves as the EM's starting point and as the
 	// Vuong test's alternative.
-	pois, err := poissonFit(countX, y, nil, nil)
+	pois, err := poissonFit(countX, y, nil)
 	if err != nil {
 		return nil, fmt.Errorf("stats: ZIP init failed: %w", err)
 	}
@@ -150,12 +150,12 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 	res.AIC = -2*lik + 2*float64(k)
 	res.BIC = -2*lik + float64(k)*math.Log(float64(n))
 
-	// Standard errors from the observed information (numerical Hessian).
+	// Standard errors from the observed information at the optimum.
 	identified := make([]bool, k)
 	for j := range identified {
 		identified[j] = j < p || fit.zeroIdentified[j-p]
 	}
-	se, err := zd.stdErrs(beta, gamma, identified)
+	se, err := stdErrs(fit.info, identified)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 		ones.Set(i, 0, 1)
 	}
 	null := &zipData{countX: ones, zeroX: ones, y: y, lg: zd.lg, ridge: []float64{zipRidge}}
-	if npois, err := poissonFit(ones, y, nil, nil); err == nil {
+	if npois, err := poissonFit(ones, y, nil); err == nil {
 		nfit, err := null.fit(npois.coef)
 		if err == nil && nfit.lik != 0 {
 			res.McFadden = 1 - lik/nfit.lik
@@ -204,8 +204,8 @@ func newCoefBlock(names []string, coef, se []float64, identified []bool) *CoefBl
 
 // zipData is one ZIP model's designs and response, with lgamma(y+1)
 // tabulated per row: a fit evaluates the Poisson PMF of the same counts
-// in every EM iteration and every Hessian probe. ridge holds the zero
-// part's per-coefficient ridge, zipRidge·mean(z_j²).
+// in every EM iteration and every likelihood evaluation. ridge holds the
+// zero part's per-coefficient ridge, zipRidge·mean(z_j²).
 type zipData struct {
 	countX, zeroX *Matrix
 	y             []float64
@@ -241,39 +241,48 @@ func (z *zipData) pi(i int, gamma []float64) float64 {
 }
 
 // zipFit is a fitted ZIP optimum: the coefficients, the log-likelihood
-// (without the ridge), which zero-part coefficients the data identify,
-// the EM iterations plus Newton steps taken, and whether the Newton
-// finish met its stop test.
+// and observed information there (both without the ridge), which
+// zero-part coefficients the data identify, the EM iterations plus
+// Newton steps taken, and whether the Newton finish met its stop test.
 type zipFit struct {
 	beta, gamma    []float64
 	lik            float64
+	info           *Matrix
 	zeroIdentified []bool
 	iters          int
 	converged      bool
 }
 
+// emFit is where the EM stopped: the coefficients, the EM iterations,
+// and the IRLS iterations its M-steps ran in the count and zero parts.
+type emFit struct {
+	beta, gamma         []float64
+	iters               int
+	countIRLS, zeroIRLS int
+}
+
 // fit runs the EM from the count coefficients beta0 and finishes with
 // Newton steps.
 func (z *zipData) fit(beta0 []float64) (zipFit, error) {
-	beta, gamma, iters, err := z.em(beta0)
+	e, err := z.em(beta0)
 	if err != nil {
 		return zipFit{}, err
 	}
-	f := z.finish(beta, gamma)
-	f.iters += iters
+	f := z.finish(e.beta, e.gamma)
+	f.iters += e.iters
 	return f, nil
 }
 
 // em runs the EM loop from the count coefficients beta0 and the empirical
 // excess-zero share until the log-likelihood changes by less than
-// zipEMTol relative, returning the count and zero coefficients and the
-// iterations run. Each M-step's IRLS fits start from the previous
-// coefficients.
-func (z *zipData) em(beta0 []float64) (beta, gamma []float64, iters int, err error) {
-	beta = beta0
+// zipEMTol relative, and returns where it stopped. Each M-step's IRLS fits start from the previous
+// coefficients, and their first iteration takes the linear predictors
+// and means the E-step computed at those coefficients. The two fits
+// share one IRLS scratch for the whole EM.
+func (z *zipData) em(beta0 []float64) (emFit, error) {
 	y := z.y
 	n := len(y)
-	gamma = make([]float64, z.zeroX.Cols)
+	f := emFit{beta: beta0, gamma: make([]float64, z.zeroX.Cols)}
 	zeroShare := 0.0
 	for _, v := range y {
 		if v == 0 {
@@ -281,18 +290,30 @@ func (z *zipData) em(beta0 []float64) (beta, gamma []float64, iters int, err err
 		}
 	}
 	zeroShare /= float64(n)
-	gamma[0] = math.Log((zeroShare + 0.05) / (1 - zeroShare + 0.05))
+	f.gamma[0] = math.Log((zeroShare + 0.05) / (1 - zeroShare + 0.05))
 
 	r := make([]float64, n) // E[structural zero | y]
 	wCount := make([]float64, n)
+	// The zero-part fit runs after the count-part fit, so the two share
+	// their working weights and responses.
+	count := newIRLSWork(n)
+	zero := &irlsWork{eta: make([]float64, n), mu: make([]float64, n), prevMu: make([]float64, n), w: count.w, z: count.z}
+	// M-step: weighted Poisson for the count part, fractional-response
+	// logistic for the zero part. Only their coefficients are used.
+	countGLM := glm{x: z.countX, y: y, weights: wCount, lg: z.lg}
+	zeroGLM := glm{x: z.zeroX, y: r, logistic: true}
 	prev := math.Inf(-1)
 	for iter := 1; iter <= zipMaxIter; iter++ {
-		iters = iter
+		f.iters = iter
 		// E-step.
 		lik := 0.0
 		for i := 0; i < n; i++ {
-			mu := z.mu(i, beta)
-			pi := z.pi(i, gamma)
+			etaC := clampEta(Dot(z.countX.Row(i), f.beta))
+			mu := math.Exp(etaC)
+			etaZ := clampEta(Dot(z.zeroX.Row(i), f.gamma))
+			pi := 1 / (1 + math.Exp(-etaZ))
+			count.eta[i], count.mu[i] = etaC, mu
+			zero.eta[i], zero.mu[i] = etaZ, pi
 			if y[i] == 0 {
 				pz := pi + (1-pi)*math.Exp(-mu)
 				if pz < 1e-300 {
@@ -311,20 +332,19 @@ func (z *zipData) em(beta0 []float64) (beta, gamma []float64, iters int, err err
 		}
 		prev = lik
 
-		// M-step: weighted Poisson for the count part, fractional-response
-		// logistic for the zero part. Only their coefficients are used.
-		pfit, perr := poissonFit(z.countX, y, wCount, beta)
-		if perr != nil {
-			return nil, nil, iters, fmt.Errorf("stats: ZIP count M-step: %w", perr)
+		pfit, err := countGLM.irls(f.beta, count)
+		if err != nil {
+			return emFit{}, fmt.Errorf("stats: ZIP count M-step: Poisson IRLS step failed: %w", err)
 		}
-		beta = pfit.coef
-		lfit, lerr := logisticFit(z.zeroX, r, nil, gamma)
-		if lerr != nil {
-			return nil, nil, iters, fmt.Errorf("stats: ZIP zero M-step: %w", lerr)
+		lfit, err := zeroGLM.irls(f.gamma, zero)
+		if err != nil {
+			return emFit{}, fmt.Errorf("stats: ZIP zero M-step: logistic Newton step failed: %w", err)
 		}
-		gamma = lfit.coef
+		f.beta, f.gamma = pfit.coef, lfit.coef
+		f.countIRLS += pfit.iters
+		f.zeroIRLS += lfit.iters
 	}
-	return beta, gamma, iters, nil
+	return f, nil
 }
 
 // derivs returns the log-likelihood at (beta, gamma) with its analytic
@@ -411,14 +431,18 @@ func (z *zipData) objective(lik float64, gamma []float64) float64 {
 // rather than the data places: those that would move by more than
 // zipFlagMove of themselves were the ridge ten times larger, which one
 // solve with the final information matrix predicts.
+// The fit keeps the log-likelihood and the information at the final
+// coefficients without the ridge: the standard errors come from that
+// information.
 func (z *zipData) finish(beta, gamma []float64) zipFit {
 	p, q := len(beta), len(gamma)
 	k := p + q
 	theta := append(append(make([]float64, 0, k), beta...), gamma...)
 	next := make([]float64, k)
 	damped := NewMatrix(k, k)
+	// info is the information with the ridge added.
+	info := NewMatrix(k, k)
 	f := zipFit{}
-	var info *Matrix
 	// mu damps a step towards the gradient, Levenberg–Marquardt style, by
 	// adding mu times the information's diagonal. It grows tenfold while
 	// the damped information is not positive definite or the step would
@@ -428,7 +452,8 @@ func (z *zipData) finish(beta, gamma []float64) zipFit {
 	mu := 0.0
 	for {
 		lik, grad, inf := z.derivs(theta[:p], theta[p:])
-		f.lik, info = lik, inf
+		f.lik, f.info = lik, inf
+		copy(info.Data, inf.Data)
 		for j := 0; j < q; j++ {
 			grad[p+j] -= z.ridge[j] * theta[p+j]
 			info.Data[(p+j)*k+p+j] += z.ridge[j]
@@ -503,118 +528,9 @@ func (z *zipData) logLik(beta, gamma []float64) float64 {
 	return lik
 }
 
-// countTerms writes row i's count-side log-likelihood factor under beta
-// to dst[i]: exp(-mu) for a zero response, the Poisson log-PMF otherwise.
-// It returns dst.
-func (z *zipData) countTerms(beta, dst []float64) []float64 {
-	for i, v := range z.y {
-		mu := z.mu(i, beta)
-		if v == 0 {
-			dst[i] = math.Exp(-mu)
-		} else {
-			dst[i] = poissonLogPMFLg(int(v), mu, z.lg[i])
-		}
-	}
-	return dst
-}
-
-// zeroTerms writes row i's zero-side log-likelihood factor under gamma to
-// dst[i]: pi for a zero response, log1p(-pi) otherwise. It returns dst.
-func (z *zipData) zeroTerms(gamma, dst []float64) []float64 {
-	for i, v := range z.y {
-		pi := z.pi(i, gamma)
-		if v == 0 {
-			dst[i] = pi
-		} else {
-			dst[i] = math.Log1p(-pi)
-		}
-	}
-	return dst
-}
-
-// combine sums, in row order, the ZIP log-likelihood terms made from
-// count-side and zero-side factors: the operations zipLogPMFLg performs
-// on the same pi and mu, so the sum equals logLik bit for bit.
-func (z *zipData) combine(count, zero []float64) float64 {
-	lik := 0.0
-	for i, v := range z.y {
-		if v == 0 {
-			pi := zero[i]
-			lik += math.Log(pi + (1-pi)*count[i])
-		} else {
-			lik += zero[i] + count[i]
-		}
-	}
-	return lik
-}
-
-// stdErrs computes sqrt(diag(inv(-H))) where H is the numerically
-// differentiated Hessian of the ZIP log-likelihood at (beta, gamma),
-// restricted to the identified coordinates. An unidentified coordinate
-// gets no probes and a NaN standard error.
-//
-// Each probe evaluates the log-likelihood at theta with one or two
-// coordinates stepped. Count factors depend on beta alone and zero
-// factors on gamma alone, so the factors of every single-coordinate step
-// are tabulated once: the diagonal and the mixed count×zero probes are
-// then table sums, and a probe stepping two coordinates of one block
-// recomputes only that block's factors.
-func (z *zipData) stdErrs(beta, gamma []float64, identified []bool) ([]float64, error) {
-	p, q := len(beta), len(gamma)
-	k := p + q
-	n := len(z.y)
-	theta := make([]float64, k)
-	copy(theta, beta)
-	copy(theta[p:], gamma)
-	step := make([]float64, k)
-	for j := 0; j < k; j++ {
-		step[j] = 1e-4 * (math.Abs(theta[j]) + 1e-2)
-	}
-
-	t := make([]float64, k)
-	// terms tabulates the factors of the block holding coordinate b at t.
-	terms := func(b int, dst []float64) []float64 {
-		if b < p {
-			return z.countTerms(t[:p], dst)
-		}
-		return z.zeroTerms(t[p:], dst)
-	}
-	base := [2][]float64{z.countTerms(beta, make([]float64, n)), z.zeroTerms(gamma, make([]float64, n))}
-	// single[j][s] holds coordinate j's block factors with step[j] added
-	// (s = 0) or subtracted (s = 1). A diagonal probe adds its step and
-	// then +0, which leaves the stepped coordinate unchanged, since a
-	// nonzero step never sums to −0.
-	single := make([][2][]float64, k)
-	for j := 0; j < k; j++ {
-		if !identified[j] {
-			continue
-		}
-		for s, d := range [2]float64{step[j], -step[j]} {
-			copy(t, theta)
-			t[j] += d
-			single[j][s] = terms(j, make([]float64, n))
-		}
-	}
-	// withBase is the log-likelihood when coordinate j's block has
-	// factors f and the other block is at theta.
-	withBase := func(j int, f []float64) float64 {
-		if j < p {
-			return z.combine(f, base[1])
-		}
-		return z.combine(base[0], f)
-	}
-	scratch := make([]float64, n)
-	// pair is the log-likelihood at theta with da added to coordinate a
-	// and then db to coordinate b, both in a's block.
-	pair := func(a, b int, da, db float64) float64 {
-		copy(t, theta)
-		t[a] += da
-		t[b] += db
-		return withBase(a, terms(a, scratch))
-	}
-	f0 := z.combine(base[0], base[1])
-
-	// idx lists the identified coordinates; h is the Hessian over them.
+// stdErrs returns sqrt(diag(inv(info))) over the identified
+// coordinates, with info restricted to them, and NaN for the others.
+func stdErrs(info *Matrix, identified []bool) ([]float64, error) {
 	var idx []int
 	for j, ok := range identified {
 		if ok {
@@ -622,41 +538,22 @@ func (z *zipData) stdErrs(beta, gamma []float64, identified []bool) ([]float64, 
 		}
 	}
 	m := len(idx)
-	h := NewMatrix(m, m)
-	// Central-difference Hessian.
-	for ia, a := range idx {
-		for ib := ia; ib < m; ib++ {
-			b := idx[ib]
-			ha, hb := step[a], step[b]
-			var v float64
-			switch {
-			case a == b:
-				v = (withBase(a, single[a][0]) - 2*f0 + withBase(a, single[a][1])) / (ha * ha)
-			case a < p && b >= p:
-				ap, am, bp, bm := single[a][0], single[a][1], single[b][0], single[b][1]
-				v = (z.combine(ap, bp) - z.combine(ap, bm) - z.combine(am, bp) + z.combine(am, bm)) / (4 * ha * hb)
-			default:
-				v = (pair(a, b, ha, hb) - pair(a, b, ha, -hb) - pair(a, b, -ha, hb) + pair(a, b, -ha, -hb)) / (4 * ha * hb)
-			}
-			h.Set(ia, ib, v)
-			h.Set(ib, ia, v)
+	sub := NewMatrix(m, m)
+	for a, ja := range idx {
+		for b, jb := range idx {
+			sub.Set(a, b, info.At(ja, jb))
 		}
 	}
-	// Observed information is -H; invert with ridge fallback.
-	info := NewMatrix(m, m)
-	for i := range info.Data {
-		info.Data[i] = -h.Data[i]
-	}
-	cov, err := InvertSPD(info)
+	cov, err := InvertSPD(sub)
 	if err != nil {
 		return nil, fmt.Errorf("stats: ZIP information matrix: %w", err)
 	}
-	se := make([]float64, k)
+	se := make([]float64, len(identified))
 	for j := range se {
 		se[j] = math.NaN()
 	}
-	for i, j := range idx {
-		se[j] = math.Sqrt(math.Max(cov.At(i, i), 0))
+	for a, j := range idx {
+		se[j] = math.Sqrt(math.Max(cov.At(a, a), 0))
 	}
 	return se, nil
 }

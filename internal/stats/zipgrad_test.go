@@ -39,7 +39,7 @@ func ZIPRegressionGradient(countX *Matrix, y []float64, zeroX *Matrix) (*ZIPGrad
 	n := len(y)
 
 	// Warm start like the EM: Poisson fit + empirical zero share.
-	pois, err := poissonFit(countX, y, nil, nil)
+	pois, err := poissonFit(countX, y, nil)
 	if err != nil {
 		return nil, fmt.Errorf("stats: gradient ZIP init: %w", err)
 	}

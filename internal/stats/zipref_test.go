@@ -87,6 +87,47 @@ func TestZIPMatchesColdEMReference(t *testing.T) {
 	}
 }
 
+// TestZIPEMBitExactOnCorpora requires ZIPRegression's EM to take the
+// same iterates, bit for bit, as refZIPWarmEM, whose IRLS recomputes
+// every mean from the coefficients, on all seven Table 9/10 designs of
+// seeds 1–3 and of the cold-pipeline corpus 519888438, at scale 0.05,
+// and on each design's intercept-only null model. The latter corpus's
+// fits include zero-part M-steps that run to the IRLS iteration cap.
+func TestZIPEMBitExactOnCorpora(t *testing.T) {
+	capped := 0
+	for _, seed := range []uint64{1, 2, 3, 519888438} {
+		d, _, err := market.Generate(market.Config{Seed: seed, Scale: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := analysis.NewIndex(d)
+		for _, m := range zipModels() {
+			name := fmt.Sprintf("seed %d %v/%s", seed, m.era, m.subset)
+			des, err := analysis.NewZIPDesign(ix, m.era, m.subset)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			c, err := stats.CompareZIPEM(des.CountX, des.Y, des.ZeroX)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if seed == 519888438 {
+				capped += c
+			}
+			ones := stats.NewMatrix(len(des.Y), 1)
+			for i := range des.Y {
+				ones.Set(i, 0, 1)
+			}
+			if _, err := stats.CompareZIPEM(ones, des.Y, ones); err != nil {
+				t.Errorf("%s null model: %v", name, err)
+			}
+		}
+	}
+	if capped == 0 {
+		t.Error("no zero-part M-step of corpus 519888438 ran to the IRLS iteration cap")
+	}
+}
+
 // zipModel is one (era, subset) model of Tables 9 and 10.
 type zipModel struct {
 	era    dataset.Era
