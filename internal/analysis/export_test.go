@@ -17,7 +17,8 @@ func RebuildIndex(d *dataset.Dataset) *Index {
 }
 
 // Obligations returns ix's obligation table: one entry of category and
-// method masks per CompletedPublic contract, in the same order.
+// method masks and quoted values per CompletedPublic contract, in the
+// same order.
 func Obligations(ix *Index) []obligation { return ix.obligations() }
 
 // MoneyContracts returns the completed public contracts the obligation

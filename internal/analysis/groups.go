@@ -14,11 +14,11 @@ import (
 // per-generation) shares one construction instead of each rebuilding it.
 //
 // The eager groups are filled by buildGroups in a single scan of the
-// columnar projection; the obligation-classification and value-extraction
-// tables stay lazy behind their own sync.Once so partial runs never pay
-// for text mining they don't touch. Everything here is shared read-only
-// data; the incremental append path extends copies (see Append), never
-// mutates an installed corpusGroups.
+// columnar projection; the obligation table, which holds everything the
+// text mining yields, stays lazy behind its own sync.Once so partial
+// runs never pay for text mining they don't touch. Everything here is
+// shared read-only data; the incremental append path extends copies (see
+// Append), never mutates an installed corpusGroups.
 type corpusGroups struct {
 	// nContracts keys cache freshness: a dataset whose contract count no
 	// longer matches was extended (or mutated) and rebuilds.
@@ -33,10 +33,7 @@ type corpusGroups struct {
 	firstEra         map[forum.UserID]dataset.Era
 
 	obligOnce sync.Once
-	oblig     []obligation // classifies completedPublic, entry for entry
-
-	valsOnce sync.Once
-	vals     map[string][]textmine.Money
+	oblig     []obligation // mines completedPublic, entry for entry
 }
 
 // Bit positions of the classification masks: a category's or method's
@@ -88,7 +85,7 @@ func sharedGroups(d *dataset.Dataset) *corpusGroups {
 }
 
 // buildGroups derives every eager group in one scan of the columnar
-// projection (see extend) and leaves the text-mining tables lazy.
+// projection (see extend) and leaves the obligation table lazy.
 func buildGroups(d *dataset.Dataset) *corpusGroups {
 	g := &corpusGroups{
 		userContracts: make(map[forum.UserID][]*forum.Contract, len(d.Users)),
@@ -143,8 +140,7 @@ func (g *corpusGroups) extend(d *dataset.Dataset) {
 	g.nContracts = row
 }
 
-// obligations returns the classification table, building it on first
-// use.
+// obligations returns the obligation table, building it on first use.
 func (g *corpusGroups) obligations() []obligation {
 	g.obligOnce.Do(func() {
 		g.oblig = make([]obligation, 0, len(g.completedPublic))
@@ -154,46 +150,26 @@ func (g *corpusGroups) obligations() []obligation {
 }
 
 // classify appends one obligation entry per contract of cs to g.oblig,
-// in cs order. Each distinct obligation text is classified exactly once
-// (corpora repeat template text heavily).
+// in cs order. Each distinct obligation text is normalised and mined
+// exactly once (corpora repeat template text heavily); entries with the
+// same text share its values slice.
 func (g *corpusGroups) classify(cs []*forum.Contract) {
-	type masks struct{ cats, meths uint32 }
-	results := make(map[string]masks, 2*len(cs))
-	lookup := func(text string) masks {
+	type mined struct {
+		cats, meths uint32
+		vals        []textmine.Money
+	}
+	results := make(map[string]mined, 2*len(cs))
+	lookup := func(text string) mined {
 		r, ok := results[text]
 		if !ok {
-			cats, meths := textmine.Classify(text)
-			r = masks{catMaskOf(cats), methMaskOf(meths)}
+			cats, meths, vals := textmine.Mine(text)
+			r = mined{catMaskOf(cats), methMaskOf(meths), vals}
 			results[text] = r
 		}
 		return r
 	}
 	for _, c := range cs {
 		mk, tk := lookup(c.MakerObligation), lookup(c.TakerObligation)
-		g.oblig = append(g.oblig, obligation{mk.cats, tk.cats, mk.meths, tk.meths})
+		g.oblig = append(g.oblig, obligation{mk.cats, tk.cats, mk.meths, tk.meths, mk.vals, tk.vals})
 	}
-}
-
-// extractedValues returns the memoized text→quoted-values table for the
-// value analysis: ExtractValues runs once per distinct obligation text in
-// the §4.5 population (completed public, VOUCH COPY excluded) instead of
-// twice per contract per stage. Currency conversion stays per-contract —
-// it depends on the transaction time, not the text.
-func (g *corpusGroups) extractedValues() map[string][]textmine.Money {
-	g.valsOnce.Do(func() {
-		vals := make(map[string][]textmine.Money, 2*len(g.completedPublic))
-		for _, c := range g.completedPublic {
-			if c.Type == forum.VouchCopy {
-				continue
-			}
-			if _, ok := vals[c.MakerObligation]; !ok {
-				vals[c.MakerObligation] = textmine.ExtractValues(c.MakerObligation)
-			}
-			if _, ok := vals[c.TakerObligation]; !ok {
-				vals[c.TakerObligation] = textmine.ExtractValues(c.TakerObligation)
-			}
-		}
-		g.vals = vals
-	})
-	return g.vals
 }

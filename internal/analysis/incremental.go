@@ -9,10 +9,10 @@ import (
 // added contracts, in that order — incrementally: the child's groups are
 // a copy of the parent's extended by the same per-row step buildGroups
 // runs (extend), over nd's new rows only, and only the new completed-public
-// obligation text goes through the classifier. nd must be ix.D plus added
-// (ingest.Apply's contract, whether it applied one batch or several —
-// added is then their contracts in batch order); the new rows are read
-// from nd's projection, which ends in exactly those contracts.
+// obligation text is mined. nd must be ix.D plus added (ingest.Apply's
+// contract, whether it applied one batch or several — added is then their
+// contracts in batch order); the new rows are read from nd's projection,
+// which ends in exactly those contracts.
 //
 // Every group is a corpus-order scan, so the rebuild of nd visits the
 // parent's rows first and the added ones after: each bucket and subset is
@@ -35,10 +35,8 @@ func (ix *Index) Append(nd *dataset.Dataset, added []*forum.Contract) *Index {
 	child := parent.clone(len(nd.Contracts) - parent.nContracts)
 	child.extend(nd)
 	child.classify(child.completedPublic[len(parent.completedPublic):])
-	// The obligation group is fully extended: mark its Once consumed so
+	// The obligation table is fully extended: mark its Once consumed so
 	// lazy accessors hand out this state instead of rebuilding from nd.
-	// The value-extraction memo is left unbuilt: it rebuilds lazily (per
-	// distinct text) on the first value stage over the child corpus.
 	child.obligOnce.Do(func() {})
 
 	nix := &Index{D: nd}

@@ -5,6 +5,7 @@ import (
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
+	"turnup/internal/textmine"
 )
 
 // Index is the shared view of one immutable Dataset that every suite
@@ -27,7 +28,7 @@ import (
 // read-only; that is the same ownership discipline the stage DAG already
 // imposes on Suite slots. Construction is deterministic: the group
 // builder scans columns in corpus order and the obligation table
-// classifies completed public contracts in that order, so results are
+// mines completed public contracts in that order, so results are
 // identical at any worker count.
 type Index struct {
 	// D is the underlying corpus; stages reach through the Index for it.
@@ -36,15 +37,18 @@ type Index struct {
 	g atomic.Pointer[corpusGroups]
 }
 
-// obligation is the classification of one completed public contract's
-// maker and taker obligation text, as bitmasks over the canonical
-// textmine.Categories and textmine.Methods orderings: the one table that
-// Tables 3–5 and Figures 9–11 read instead of re-parsing the text.
-// Uncategorised has no bit, because every consumer drops it, so a zero
-// category mask means that side names no trading activity.
+// obligation is what the text mining yields for one completed public
+// contract's maker and taker obligation text: the categories and methods
+// as bitmasks over the canonical textmine.Categories and textmine.Methods
+// orderings, and the quoted values. It is the one table that Tables 3–5
+// and Figures 9–11 read instead of re-parsing the text. Uncategorised has
+// no bit, because every consumer drops it, so a zero category mask means
+// that side names no trading activity. The values slices are shared
+// between entries and must not be mutated.
 type obligation struct {
 	makerCats, takerCats   uint32
 	makerMeths, takerMeths uint32
+	makerVals, takerVals   []textmine.Money
 }
 
 // cats is the union of both sides' categories.
@@ -109,7 +113,7 @@ func (ix *Index) FirstEraOfUse() map[forum.UserID]dataset.Era {
 	return ix.groups().firstEra
 }
 
-// obligations returns the classification table, one entry per
+// obligations returns the obligation table, one entry per
 // CompletedPublic contract in the same order, building it on first use.
 func (ix *Index) obligations() []obligation {
 	return ix.groups().obligations()

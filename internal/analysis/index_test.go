@@ -92,8 +92,8 @@ func TestIndexMatchesDatasetScans(t *testing.T) {
 }
 
 // TestIndexCategoriesMatchDirect verifies the obligation table holds
-// exactly the masks of direct classification, entry for entry, for every
-// completed public contract.
+// exactly the masks of direct classification and the values of direct
+// extraction, entry for entry, for every completed public contract.
 func TestIndexCategoriesMatchDirect(t *testing.T) {
 	d := corpus(t)
 	ix := NewIndex(d)
@@ -104,8 +104,9 @@ func TestIndexCategoriesMatchDirect(t *testing.T) {
 	for i, c := range cs {
 		mc, mm := textmine.Classify(c.MakerObligation)
 		tc, tm := textmine.Classify(c.TakerObligation)
-		want := obligation{catMaskOf(mc), catMaskOf(tc), methMaskOf(mm), methMaskOf(tm)}
-		if oblig[i] != want {
+		want := obligation{catMaskOf(mc), catMaskOf(tc), methMaskOf(mm), methMaskOf(tm),
+			textmine.ExtractValues(c.MakerObligation), textmine.ExtractValues(c.TakerObligation)}
+		if !reflect.DeepEqual(oblig[i], want) {
 			t.Fatalf("contract %d: table entry %+v, direct %+v", c.ID, oblig[i], want)
 		}
 	}

@@ -103,7 +103,6 @@ func Values(ix *Index) ValueReport {
 	actAcc := make([]*ValueRow, len(textmine.Categories))
 	methAcc := make([]*MethodValueRow, len(textmine.Methods))
 	userValue := map[forum.UserID]float64{}
-	extracted := ix.groups().extractedValues()
 	oblig := ix.obligations()
 
 	for i, c := range ix.CompletedPublic() {
@@ -111,8 +110,8 @@ func Values(ix *Index) ValueReport {
 			continue // reputation proofs, not economic trades
 		}
 		at := completedAt(c)
-		mv := firstValueUSD(extracted[c.MakerObligation], fxTab, at)
-		tv := firstValueUSD(extracted[c.TakerObligation], fxTab, at)
+		mv := firstValueUSD(oblig[i].makerVals, fxTab, at)
+		tv := firstValueUSD(oblig[i].takerVals, fxTab, at)
 		if mv == 0 && tv == 0 {
 			continue // value undeterminable for both sides: excluded
 		}
@@ -214,10 +213,9 @@ func Values(ix *Index) ValueReport {
 	return r
 }
 
-// firstValueUSD walks a side's extracted quoted values (the index's memo
-// table, one ExtractValues per distinct text) and returns the first
-// converted to USD at the transaction time. An unknown denomination falls
-// back to USD, per the paper's default.
+// firstValueUSD walks a side's quoted values (from the obligation table)
+// and returns the first converted to USD at the transaction time. An
+// unknown denomination falls back to USD, per the paper's default.
 func firstValueUSD(ms []textmine.Money, tab *fx.Table, at time.Time) float64 {
 	for _, m := range ms {
 		usd, err := tab.ToUSD(m.Amount, m.Currency, at)

@@ -14,35 +14,26 @@ import "turnup/internal/forum"
 // connection kinds already recorded for that pair, and per-user degree
 // counters advance only when a pair gains a new kind. This replaces the
 // per-user nested adjacency sets the first implementation used — same
-// semantics, one map instead of one map per user per kind.
+// semantics, one map instead of one map per user per kind. Each kind's
+// maximum and total degree advance with the counters, so Stats reads
+// them without a scan.
 type Network struct {
-	seen   map[pair]uint8
-	degRaw map[forum.UserID]int
-	degIn  map[forum.UserID]int
-	degOut map[forum.UserID]int
+	seen       map[pair]uint8
+	deg        [numKinds]map[forum.UserID]int
+	max, total [numKinds]int
 }
 
 // pair is a directed user pair. A struct key (not packed integers) so IDs
 // wider than 32 bits can never collide.
 type pair struct{ from, to forum.UserID }
 
-// Connection-kind bits in the seen-set. Raw edges are recorded in both
-// directions, so the raw bit on (u,v) means v is among u's distinct
-// counterparties.
-const (
-	bitRaw uint8 = 1 << iota
-	bitIn
-	bitOut
-)
-
 // New returns an empty network.
 func New() *Network {
-	return &Network{
-		seen:   make(map[pair]uint8),
-		degRaw: make(map[forum.UserID]int),
-		degIn:  make(map[forum.UserID]int),
-		degOut: make(map[forum.UserID]int),
+	n := &Network{seen: make(map[pair]uint8)}
+	for k := range n.deg {
+		n.deg[k] = make(map[forum.UserID]int)
 	}
+	return n
 }
 
 // Build constructs the network over the given contracts. Only accepted
@@ -71,36 +62,36 @@ func (n *Network) Add(c *forum.Contract) {
 	if !connected(c) {
 		return
 	}
-	n.link(c.Maker, c.Taker, bitRaw)
-	n.link(c.Taker, c.Maker, bitRaw)
+	n.link(c.Maker, c.Taker, Raw)
+	n.link(c.Taker, c.Maker, Raw)
 	// Maker initiates: outbound maker→taker, inbound for taker from maker.
-	n.link(c.Maker, c.Taker, bitOut)
-	n.link(c.Taker, c.Maker, bitIn)
+	n.link(c.Maker, c.Taker, Outbound)
+	n.link(c.Taker, c.Maker, Inbound)
 	if c.Type.Bidirectional() {
 		// Goods flow both ways: both parties gain both connection kinds.
-		n.link(c.Taker, c.Maker, bitOut)
-		n.link(c.Maker, c.Taker, bitIn)
+		n.link(c.Taker, c.Maker, Outbound)
+		n.link(c.Maker, c.Taker, Inbound)
 	}
 }
 
-func (n *Network) link(from, to forum.UserID, bit uint8) {
-	p := pair{from, to}
+// link records that the pair (from, to) has a connection of kind k; the
+// seen-set bit of kind k is 1<<k. Raw edges are recorded in both
+// directions, so the raw bit on (u,v) means v is among u's distinct
+// counterparties.
+func (n *Network) link(from, to forum.UserID, k DegreeKind) {
+	p, bit := pair{from, to}, uint8(1)<<k
 	if n.seen[p]&bit != 0 {
 		return
 	}
 	n.seen[p] |= bit
-	switch bit {
-	case bitRaw:
-		n.degRaw[from]++
-	case bitIn:
-		n.degIn[from]++
-	case bitOut:
-		n.degOut[from]++
-	}
+	d := n.deg[k][from] + 1
+	n.deg[k][from] = d
+	n.total[k]++
+	n.max[k] = max(n.max[k], d)
 }
 
 // Nodes returns the number of users with at least one raw connection.
-func (n *Network) Nodes() int { return len(n.degRaw) }
+func (n *Network) Nodes() int { return len(n.deg[Raw]) }
 
 // DegreeKind selects which degree notion to read.
 type DegreeKind int
@@ -110,6 +101,7 @@ const (
 	Raw DegreeKind = iota
 	Inbound
 	Outbound
+	numKinds
 )
 
 // String names the degree kind.
@@ -126,17 +118,6 @@ func (k DegreeKind) String() string {
 	}
 }
 
-func (n *Network) deg(k DegreeKind) map[forum.UserID]int {
-	switch k {
-	case Inbound:
-		return n.degIn
-	case Outbound:
-		return n.degOut
-	default:
-		return n.degRaw
-	}
-}
-
 // DegreeStats summarises a degree distribution.
 type DegreeStats struct {
 	Kind  DegreeKind
@@ -145,20 +126,13 @@ type DegreeStats struct {
 	Nodes int
 }
 
-// Stats computes max and mean degree of the given kind over raw-graph nodes.
+// Stats returns max and mean degree of the given kind over raw-graph
+// nodes. Every inbound or outbound connection is also a raw one, so the
+// raw-graph nodes are every node with a degree of any kind.
 func (n *Network) Stats(k DegreeKind) DegreeStats {
-	s := DegreeStats{Kind: k, Nodes: len(n.degRaw)}
-	kind := n.deg(k)
-	total := 0
-	for u := range n.degRaw {
-		d := kind[u]
-		total += d
-		if d > s.Max {
-			s.Max = d
-		}
-	}
+	s := DegreeStats{Kind: k, Max: n.max[k], Nodes: n.Nodes()}
 	if s.Nodes > 0 {
-		s.Mean = float64(total) / float64(s.Nodes)
+		s.Mean = float64(n.total[k]) / float64(s.Nodes)
 	}
 	return s
 }
@@ -166,10 +140,9 @@ func (n *Network) Stats(k DegreeKind) DegreeStats {
 // DegreeSlice returns all degrees of a kind as a slice (for distribution
 // fitting and histograms).
 func (n *Network) DegreeSlice(k DegreeKind) []int {
-	kind := n.deg(k)
-	out := make([]int, 0, len(n.degRaw))
-	for u := range n.degRaw {
-		out = append(out, kind[u])
+	out := make([]int, 0, n.Nodes())
+	for u := range n.deg[Raw] {
+		out = append(out, n.deg[k][u])
 	}
 	return out
 }

@@ -114,6 +114,35 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsMatchScanAsNetworkGrows checks the running maximum and total
+// behind Stats against a scan of every node's degree after each contract
+// of a network with repeat pairs and both contract directions.
+func TestStatsMatchScanAsNetworkGrows(t *testing.T) {
+	types := []forum.ContractType{forum.Sale, forum.Purchase, forum.Exchange, forum.Trade}
+	n := New()
+	x := uint64(7)
+	for id := 1; id <= 400; id++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		maker, taker := forum.UserID(1+x>>33%40), forum.UserID(1+x>>45%40)
+		if maker == taker {
+			continue
+		}
+		n.Add(accepted(t, id, types[x>>20%4], maker, taker))
+		for _, k := range []DegreeKind{Raw, Inbound, Outbound} {
+			want := DegreeStats{Kind: k, Nodes: n.Nodes()}
+			total := 0
+			for _, d := range n.Degrees(k) {
+				total += d
+				want.Max = max(want.Max, d)
+			}
+			want.Mean = float64(total) / float64(want.Nodes)
+			if got := n.Stats(k); got != want {
+				t.Fatalf("after contract %d, %v: Stats %+v, scan %+v", id, k, got, want)
+			}
+		}
+	}
+}
+
 func TestDegreesIncludeZeroOutbound(t *testing.T) {
 	n := Build([]*forum.Contract{accepted(t, 1, forum.Sale, 1, 2)})
 	degs := n.Degrees(Outbound)

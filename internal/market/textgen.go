@@ -1,8 +1,8 @@
 package market
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"turnup/internal/dataset"
@@ -219,6 +219,10 @@ func (g *textGen) drawValue(cat textmine.Category) float64 {
 	return math.Round(v*100) / 100
 }
 
+// fixed formats v with prec decimals, as fmt's %.<prec>f does for the
+// finite values the generator draws.
+func fixed(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
+
 // amount renders a USD value in the denomination conventions the text
 // miner must parse: plain dollars, explicit "usd", or a crypto amount.
 func (g *textGen) amount(usd float64, m textmine.Method, monthIdx int) string {
@@ -229,17 +233,17 @@ func (g *textGen) amount(usd float64, m textmine.Method, monthIdx int) string {
 			cur := methodCurrency(m)
 			rate, err := g.fxTab.Rate(cur, monthTime(monthIdx))
 			if err == nil && rate > 0 {
-				return fmt.Sprintf("%.5f %s", usd/rate, string(cur))
+				return fixed(usd/rate, 5) + " " + string(cur)
 			}
 		}
-		return fmt.Sprintf("$%.2f %s", usd, methodToken(m))
+		return "$" + fixed(usd, 2) + " " + methodToken(m)
 	case textmine.MUSD:
 		if g.src.Bool(0.5) {
-			return fmt.Sprintf("%.0f usd", usd)
+			return fixed(usd, 0) + " usd"
 		}
-		return fmt.Sprintf("$%.2f cash", usd)
+		return "$" + fixed(usd, 2) + " cash"
 	default:
-		return fmt.Sprintf("$%.2f %s", usd, methodToken(m))
+		return "$" + fixed(usd, 2) + " " + methodToken(m)
 	}
 }
 
@@ -317,8 +321,8 @@ func (g *textGen) genExchange(monthIdx int) obligation {
 		pay := v * (0.75 + 0.15*g.src.Float64())
 		method := singleMethods[g.src.Categorical([]float64{0.6, 0.3, 0.1, 0, 0, 0, 0, 0, 0, 0})]
 		o := obligation{
-			makerText: fmt.Sprintf("exchanging $%.2f %s for %s", v, "amazon gc", g.amount(pay, method, monthIdx)),
-			takerText: fmt.Sprintf("i will send %s", g.amount(pay, method, monthIdx)),
+			makerText: "exchanging $" + fixed(v, 2) + " amazon gc for " + g.amount(pay, method, monthIdx),
+			takerText: "i will send " + g.amount(pay, method, monthIdx),
 			valueUSD:  (v + pay) / 2,
 			category:  textmine.Giftcard,
 			methods:   []textmine.Method{textmine.MAmazonGC, method},
@@ -343,7 +347,7 @@ func (g *textGen) genExchange(monthIdx int) obligation {
 		vb = 9900 // keep genuine values under the paper's observed maximum
 	}
 	o := obligation{
-		makerText: fmt.Sprintf("exchanging %s for %s", g.amount(v, a, monthIdx), g.amount(vb, b, monthIdx)),
+		makerText: "exchanging " + g.amount(v, a, monthIdx) + " for " + g.amount(vb, b, monthIdx),
 		takerText: g.exchangeTakerText(vb, b, monthIdx),
 		valueUSD:  (v + vb) / 2,
 		category:  textmine.CurrencyExchange,
@@ -357,9 +361,9 @@ func (g *textGen) genExchange(monthIdx int) obligation {
 // the rest only the exchange itself.
 func (g *textGen) exchangeTakerText(usd float64, m textmine.Method, monthIdx int) string {
 	if g.src.Bool(0.5) {
-		return fmt.Sprintf("in exchange i will send %s", g.amount(usd, m, monthIdx))
+		return "in exchange i will send " + g.amount(usd, m, monthIdx)
 	}
-	return fmt.Sprintf("exchanging my %s for it", g.amount(usd, m, monthIdx))
+	return "exchanging my " + g.amount(usd, m, monthIdx) + " for it"
 }
 
 func (g *textGen) genSale(t forum.ContractType, monthIdx int) obligation {
@@ -375,7 +379,7 @@ func (g *textGen) genSale(t forum.ContractType, monthIdx int) obligation {
 		v := g.drawValue(cat)
 		vb := v * (0.95 + 0.12*g.src.Float64())
 		return obligation{
-			makerText: fmt.Sprintf("%s %s for %s", verb, g.amount(v, pair.a, monthIdx), g.amount(vb, pair.b, monthIdx)),
+			makerText: verb + " " + g.amount(v, pair.a, monthIdx) + " for " + g.amount(vb, pair.b, monthIdx),
 			takerText: g.exchangeTakerText(vb, pair.b, monthIdx),
 			valueUSD:  (v + vb) / 2,
 			category:  cat,
@@ -385,8 +389,8 @@ func (g *textGen) genSale(t forum.ContractType, monthIdx int) obligation {
 		m := singleMethods[g.src.Categorical(singleMethodWeights)]
 		v := g.drawValue(cat)
 		return obligation{
-			makerText: fmt.Sprintf("sending a %s payment", g.amount(v, m, monthIdx)),
-			takerText: fmt.Sprintf("i will transfer %s back", g.amount(v*(0.9+0.15*g.src.Float64()), m, monthIdx)),
+			makerText: "sending a " + g.amount(v, m, monthIdx) + " payment",
+			takerText: "i will transfer " + g.amount(v*(0.9+0.15*g.src.Float64()), m, monthIdx) + " back",
 			valueUSD:  v,
 			category:  cat,
 			methods:   []textmine.Method{m},
@@ -401,12 +405,12 @@ func (g *textGen) genSale(t forum.ContractType, monthIdx int) obligation {
 			g.highValue = true
 		}
 		v := g.drawValue(cat)
-		maker := fmt.Sprintf("%s %s", verb, good)
-		taker := fmt.Sprintf("i will pay %s for the %s", g.amount(v, m, monthIdx), good)
+		maker := verb + " " + good
+		taker := "i will pay " + g.amount(v, m, monthIdx) + " for the " + good
 		if t == forum.Purchase {
 			// Maker is the buyer: maker pays, taker delivers.
-			maker = fmt.Sprintf("buying %s, paying %s", good, g.amount(v, m, monthIdx))
-			taker = fmt.Sprintf("delivering the %s", good)
+			maker = "buying " + good + ", paying " + g.amount(v, m, monthIdx)
+			taker = "delivering the " + good
 		}
 		return obligation{
 			makerText: maker,
@@ -423,8 +427,8 @@ func (g *textGen) genTrade() obligation {
 	get := g.nextGood(textmine.Accounts)
 	v := g.drawValue(textmine.Gaming)
 	return obligation{
-		makerText: fmt.Sprintf("trading my %s for %s", give, get),
-		takerText: fmt.Sprintf("trading my %s", get),
+		makerText: "trading my " + give + " for " + get,
+		takerText: "trading my " + get,
 		valueUSD:  v,
 		category:  textmine.Gaming,
 		methods:   nil,
@@ -434,7 +438,7 @@ func (g *textGen) genTrade() obligation {
 func (g *textGen) genVouchCopy() obligation {
 	good := g.nextGood(textmine.Tutorials)
 	return obligation{
-		makerText: fmt.Sprintf("vouch copy of my %s", good),
+		makerText: "vouch copy of my " + good,
 		takerText: "i will leave an honest vouch on hackforums",
 		valueUSD:  0,
 		category:  textmine.HackforumsGoods,

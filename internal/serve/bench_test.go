@@ -112,11 +112,12 @@ func liveBatch(n int, at time.Time) *ingest.Batch {
 }
 
 // benchStoreAppend appends b.N in-order three-event batches to a stored
-// corpus of the given scale; with read set, each append is followed by a
-// Snapshot, which derives the new generation's corpus and Index. Batch
-// construction is inside the loop and costs the same at every scale.
-func benchStoreAppend(b *testing.B, read bool) {
-	for _, scale := range []float64{0.02, 0.1} {
+// corpus of each given scale; with read set, each append is followed by
+// a Snapshot, which derives the new generation's corpus and Index, and
+// then by read over that snapshot. Batch construction is inside the loop
+// and costs the same at every scale.
+func benchStoreAppend(b *testing.B, scales []float64, read func(b *testing.B, snap *serve.Snapshot)) {
+	for _, scale := range scales {
 		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
 			d, err := turnup.Generate(turnup.Config{Seed: 1, Scale: scale})
 			if err != nil {
@@ -134,10 +135,12 @@ func benchStoreAppend(b *testing.B, read bool) {
 				if _, err := st.Append(info.ID, liveBatch(i+1, base.Add(time.Duration(i+1)*time.Second))); err != nil {
 					b.Fatal(err)
 				}
-				if read {
-					if _, ok := st.Snapshot(info.ID); !ok {
+				if read != nil {
+					snap, ok := st.Snapshot(info.ID)
+					if !ok {
 						b.Fatal("snapshot of a stored dataset missing")
 					}
+					read(b, snap)
 				}
 			}
 		})
@@ -147,8 +150,28 @@ func benchStoreAppend(b *testing.B, read bool) {
 // BenchmarkStoreAppend measures back-to-back appends with no read between
 // them: the O(batch) write path. Its ns/op and B/op should not grow with
 // the corpus scale.
-func BenchmarkStoreAppend(b *testing.B) { benchStoreAppend(b, false) }
+func BenchmarkStoreAppend(b *testing.B) { benchStoreAppend(b, []float64{0.02, 0.1}, nil) }
 
 // BenchmarkStoreAppendThenSnapshot measures an append followed by a read
 // of the new generation, which pays the O(corpus) derivation once.
-func BenchmarkStoreAppendThenSnapshot(b *testing.B) { benchStoreAppend(b, true) }
+func BenchmarkStoreAppendThenSnapshot(b *testing.B) {
+	benchStoreAppend(b, []float64{0.02, 0.1}, func(*testing.B, *serve.Snapshot) {})
+}
+
+// BenchmarkStoreAppendThenReport measures an append followed by a
+// models-off report of the new generation, rendered: the in-process twin
+// of the post-append reads that perfbench's ingest-mixed workload times,
+// at its scale. The report re-runs every descriptive stage over the
+// derived Index, so it shows what the appended Index carries over from
+// its parent and what it leaves to the stages.
+func BenchmarkStoreAppendThenReport(b *testing.B) {
+	benchStoreAppend(b, []float64{0.05}, func(b *testing.B, snap *serve.Snapshot) {
+		res, err := turnup.Run(snap.D, turnup.RunOptions{Seed: 1, SkipModels: true, Index: snap.Ix})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reportSink = turnup.RenderAll(res)
+	})
+}
+
+var reportSink string

@@ -35,20 +35,36 @@ type glm struct {
 	lg         []float64
 }
 
-// irlsWork is an IRLS loop's per-row scratch: the clamped linear
+// irlsWork is an IRLS loop's scratch: per row, the clamped linear
 // predictor and the mean at the current iterate, the mean at the
-// previous iterate, and the working weight and response. A ZIP fit
-// reuses one per model part across all its M-steps.
+// previous iterate, and the working weight and response; and the normal
+// equations of its steps. A ZIP fit reuses one per model part across all
+// its M-steps.
 type irlsWork struct {
 	eta, mu, prevMu []float64
 	w, z            []float64
+	normalEqs
 }
 
-func newIRLSWork(n int) *irlsWork {
+func newIRLSWork(n, p int) *irlsWork {
 	return &irlsWork{
 		eta: make([]float64, n), mu: make([]float64, n), prevMu: make([]float64, n),
 		w: make([]float64, n), z: make([]float64, n),
+		normalEqs: newNormalEqs(p),
 	}
+}
+
+// normalEqs is the scratch of an IRLS step's weighted least-squares
+// solve for p coefficients: the Gram matrix XᵀWX, the right-hand side
+// XᵀWz and the solver's own scratch.
+type normalEqs struct {
+	gram *Matrix
+	rhs  []float64
+	spd  *spdWork
+}
+
+func newNormalEqs(p int) normalEqs {
+	return normalEqs{gram: NewMatrix(p, p), rhs: make([]float64, p), spd: newSPDWork(p)}
 }
 
 // poissonFit fits y ~ Poisson(exp(X·beta)) by IRLS with optional prior
@@ -63,7 +79,7 @@ func poissonFit(x *Matrix, y, weights []float64) (irlsFit, error) {
 	beta := make([]float64, x.Cols)
 	beta[0] = math.Log(weightedMean(y, weights) + 1e-9)
 	g := poissonGLM(x, y, weights)
-	ws := newIRLSWork(len(y))
+	ws := newIRLSWork(len(y), x.Cols)
 	g.means(beta, ws.eta, ws.mu)
 	fit, err := g.irls(beta, ws)
 	if err != nil {
@@ -187,8 +203,10 @@ func (g *glm) irls(beta []float64, ws *irlsWork) (irlsFit, error) {
 			g.means(beta, ws.eta, ws.mu)
 		}
 		g.working(ws)
-		next, err := SolveSPD(XtWX(g.x, ws.w), XtWz(g.x, ws.w, ws.z))
-		if err != nil {
+		xtwxInto(ws.gram, g.x, ws.w)
+		xtwzInto(ws.rhs, g.x, ws.w, ws.z)
+		next := make([]float64, len(beta))
+		if err := solveSPDInto(next, ws.gram, ws.rhs, ws.spd); err != nil {
 			return irlsFit{}, err
 		}
 		delta := 0.0

@@ -24,7 +24,7 @@ func logisticFit(x *Matrix, y []float64) (irlsFit, error) {
 		}
 	}
 	g := glm{x: x, y: y, logistic: true}
-	beta, ws := make([]float64, x.Cols), newIRLSWork(len(y))
+	beta, ws := make([]float64, x.Cols), newIRLSWork(len(y), x.Cols)
 	g.means(beta, ws.eta, ws.mu)
 	fit, err := g.irls(beta, ws)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestGLMLogLikMatchesManual(t *testing.T) {
 		want += PoissonLogPMF(int(yi), mu)
 	}
 	g := poissonGLM(x, y, nil)
-	ws := newIRLSWork(len(y))
+	ws := newIRLSWork(len(y), x.Cols)
 	g.means(res.coef, ws.eta, ws.mu)
 	if got := g.logLik(ws.mu); !almostEq(got, want, 1e-9) {
 		t.Errorf("LogLik = %v, want %v", got, want)
@@ -235,7 +235,7 @@ func TestGLMLogLikMatchesManual(t *testing.T) {
 			w[i] = src.Float64()
 		}
 	}
-	ws = newIRLSWork(x.Rows)
+	ws = newIRLSWork(x.Rows, x.Cols)
 	for _, weights := range [][]float64{nil, w} {
 		pg := poissonGLM(x, counts, weights)
 		pg.means(beta, ws.eta, ws.mu)

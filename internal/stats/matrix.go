@@ -39,8 +39,15 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // the entries start at +0 and round-to-nearest addition never turns +0
 // into −0.
 func XtWX(x *Matrix, w []float64) *Matrix {
+	out := NewMatrix(x.Cols, x.Cols)
+	xtwxInto(out, x, w)
+	return out
+}
+
+// xtwxInto is XtWX writing into the x.Cols×x.Cols matrix out.
+func xtwxInto(out, x *Matrix, w []float64) {
 	p := x.Cols
-	out := NewMatrix(p, p)
+	clear(out.Data)
 	weight := func(i int) float64 {
 		if w == nil {
 			return 1
@@ -82,13 +89,18 @@ func XtWX(x *Matrix, w []float64) *Matrix {
 			out.Data[a*p+b] = out.Data[b*p+a]
 		}
 	}
-	return out
 }
 
 // XtWz computes Xᵀ·diag(w)·z. w may be nil for unit weights.
 func XtWz(x *Matrix, w, z []float64) []float64 {
-	p := x.Cols
-	out := make([]float64, p)
+	out := make([]float64, x.Cols)
+	xtwzInto(out, x, w, z)
+	return out
+}
+
+// xtwzInto is XtWz writing into out, of length x.Cols.
+func xtwzInto(out []float64, x *Matrix, w, z []float64) {
+	clear(out)
 	for i := 0; i < x.Rows; i++ {
 		wi := 1.0
 		if w != nil {
@@ -104,18 +116,26 @@ func XtWz(x *Matrix, w, z []float64) []float64 {
 			out[a] += xa * wz
 		}
 	}
-	return out
 }
 
 // Cholesky factors a symmetric positive-definite matrix as L·Lᵀ, returning
 // the lower-triangular factor. It returns an error when the matrix is not
 // positive definite.
 func Cholesky(a *Matrix) (*Matrix, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := choleskyInto(l, a); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto is Cholesky writing the factor's lower triangle into l, of
+// a's size; the upper triangle is left as it was, and no solve reads it.
+func choleskyInto(l, a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("stats: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("stats: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			s := a.At(i, j)
@@ -124,7 +144,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, fmt.Errorf("stats: matrix not positive definite (pivot %d = %g)", i, s)
+					return fmt.Errorf("stats: matrix not positive definite (pivot %d = %g)", i, s)
 				}
 				l.Set(i, i, math.Sqrt(s))
 			} else {
@@ -132,13 +152,35 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			}
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveSPD solves A·x = b for symmetric positive-definite A via Cholesky.
 // If A is singular or indefinite it retries with an escalating ridge term
 // (A + εI); regression callers rely on this to survive collinear designs.
 func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
+	x := make([]float64, a.Rows)
+	if err := solveSPDInto(x, a, b, newSPDWork(a.Rows)); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// spdWork is the scratch of solveSPDInto for one matrix size: the
+// Cholesky factor, the ridged copy of the matrix (made on first need) and
+// the forward-substitution vector.
+type spdWork struct {
+	l, ridged *Matrix
+	y         []float64
+}
+
+func newSPDWork(n int) *spdWork {
+	return &spdWork{l: NewMatrix(n, n), y: make([]float64, n)}
+}
+
+// solveSPDInto is SolveSPD writing the solution into x, with its scratch
+// in ws.
+func solveSPDInto(x []float64, a *Matrix, b []float64, ws *spdWork) error {
 	ridge := 0.0
 	// Scale the ridge to the matrix magnitude so it is meaningful for both
 	// tiny and huge Gram matrices.
@@ -154,14 +196,16 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		work := a
 		if ridge > 0 {
-			work = NewMatrix(a.Rows, a.Cols)
+			if ws.ridged == nil {
+				ws.ridged = NewMatrix(a.Rows, a.Cols)
+			}
+			work = ws.ridged
 			copy(work.Data, a.Data)
 			for i := 0; i < a.Rows; i++ {
 				work.Set(i, i, work.At(i, i)+ridge)
 			}
 		}
-		l, err := Cholesky(work)
-		if err != nil {
+		if err := choleskyInto(ws.l, work); err != nil {
 			if ridge == 0 {
 				ridge = 1e-10 * maxDiag
 			} else {
@@ -169,14 +213,22 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 			}
 			continue
 		}
-		return choleskySolve(l, b), nil
+		choleskySolveInto(x, ws.l, b, ws.y)
+		return nil
 	}
-	return nil, fmt.Errorf("stats: SolveSPD failed even with ridge %g", ridge)
+	return fmt.Errorf("stats: SolveSPD failed even with ridge %g", ridge)
 }
 
 func choleskySolve(l *Matrix, b []float64) []float64 {
+	x := make([]float64, l.Rows)
+	choleskySolveInto(x, l, b, make([]float64, l.Rows))
+	return x
+}
+
+// choleskySolveInto solves L·Lᵀ·x = b into x, with y, of length l.Rows,
+// for the forward substitution.
+func choleskySolveInto(x []float64, l *Matrix, b, y []float64) {
 	n := l.Rows
-	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
@@ -184,7 +236,6 @@ func choleskySolve(l *Matrix, b []float64) []float64 {
 		}
 		y[i] = s / l.At(i, i)
 	}
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -192,7 +243,6 @@ func choleskySolve(l *Matrix, b []float64) []float64 {
 		}
 		x[i] = s / l.At(i, i)
 	}
-	return x
 }
 
 // InvertSPD inverts a symmetric positive-definite matrix, with the same

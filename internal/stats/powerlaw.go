@@ -34,22 +34,26 @@ func hurwitzZeta(s, a float64) float64 {
 // x >= xmin by exact maximum likelihood: it maximises
 // -alpha·Σ ln x_i - n·ln ζ(alpha, xmin) over alpha via golden-section
 // search. This avoids the well-known bias of the continuous-approximation
-// estimator at small xmin.
+// estimator at small xmin. Σ ln x_i is summed over the sorted tail, so
+// the fit does not depend on the order of xs.
 func FitPowerLaw(xs []int, xmin int) (*PowerLawFit, error) {
 	if xmin < 1 {
 		return nil, fmt.Errorf("stats: power-law xmin must be >= 1, got %d", xmin)
 	}
 	var tail []int
-	sumLog := 0.0
 	for _, x := range xs {
 		if x >= xmin {
 			tail = append(tail, x)
-			sumLog += math.Log(float64(x))
 		}
 	}
 	n := float64(len(tail))
 	if len(tail) < 2 {
 		return nil, fmt.Errorf("stats: only %d observations >= xmin=%d", len(tail), xmin)
+	}
+	sort.Ints(tail)
+	sumLog := 0.0
+	for _, x := range tail {
+		sumLog += math.Log(float64(x))
 	}
 	negLik := func(alpha float64) float64 {
 		return alpha*sumLog + n*math.Log(hurwitzZeta(alpha, float64(xmin)))
@@ -82,11 +86,10 @@ func goldenMin(f func(float64) float64, lo, hi, tol float64) float64 {
 	return (a + b) / 2
 }
 
-// powerLawKS computes the KS distance between the empirical tail CDF and
-// the exact discrete power-law CDF normalised by ζ(alpha, xmin).
-func powerLawKS(tail []int, alpha float64, xmin int) float64 {
-	sorted := append([]int(nil), tail...)
-	sort.Ints(sorted)
+// powerLawKS computes the KS distance between the empirical CDF of the
+// sorted tail and the exact discrete power-law CDF normalised by
+// ζ(alpha, xmin).
+func powerLawKS(sorted []int, alpha float64, xmin int) float64 {
 	maxX := sorted[len(sorted)-1]
 	z := hurwitzZeta(alpha, float64(xmin))
 	ks := 0.0

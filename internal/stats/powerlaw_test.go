@@ -49,6 +49,29 @@ func TestFitPowerLawRecovery(t *testing.T) {
 	}
 }
 
+// TestFitPowerLawIgnoresOrder requires permutations of one degree slice
+// to fit bit-identically: a network's DegreeSlice ranges over a map, so
+// its order changes from build to build.
+func TestFitPowerLawIgnoresOrder(t *testing.T) {
+	src := rng.New(503)
+	xs := drawPowerLaw(src, 3000, 2.1, 1)
+	want, err := FitPowerLaw(xs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		src.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		got, err := FitPowerLaw(xs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) ||
+			math.Float64bits(got.KS) != math.Float64bits(want.KS) || got.NTail != want.NTail {
+			t.Fatalf("round %d: permuted fit %+v, first fit %+v", round, got, want)
+		}
+	}
+}
+
 func TestFitPowerLawErrors(t *testing.T) {
 	if _, err := FitPowerLaw([]int{1, 2, 3}, 0); err == nil {
 		t.Error("xmin=0 accepted")

@@ -296,8 +296,11 @@ func (z *zipData) em(beta0 []float64) (emFit, error) {
 	wCount := make([]float64, n)
 	// The zero-part fit runs after the count-part fit, so the two share
 	// their working weights and responses.
-	count := newIRLSWork(n)
-	zero := &irlsWork{eta: make([]float64, n), mu: make([]float64, n), prevMu: make([]float64, n), w: count.w, z: count.z}
+	count := newIRLSWork(n, z.countX.Cols)
+	zero := &irlsWork{
+		eta: make([]float64, n), mu: make([]float64, n), prevMu: make([]float64, n),
+		w: count.w, z: count.z, normalEqs: newNormalEqs(z.zeroX.Cols),
+	}
 	// M-step: weighted Poisson for the count part, fractional-response
 	// logistic for the zero part. Only their coefficients are used.
 	countGLM := glm{x: z.countX, y: y, weights: wCount, lg: z.lg}
@@ -360,11 +363,11 @@ func (z *zipData) em(beta0 []float64) (emFit, error) {
 //	       −d²/dηc dηz = −r(1−r)mu.
 //
 // A linear predictor held at its clamp (|η| > etaCap) does not move with
-// the coefficients, so its derivatives are zero.
-func (z *zipData) derivs(beta, gamma []float64) (lik float64, grad []float64, info *Matrix) {
-	n, p, q := len(z.y), len(beta), len(gamma)
-	gc, gz := make([]float64, n), make([]float64, n)
-	icc, izz, icz := make([]float64, n), make([]float64, n), make([]float64, n)
+// the coefficients, so its derivatives are zero. The per-row derivatives
+// go to rows, which finish reuses across its Newton steps.
+func (z *zipData) derivs(beta, gamma []float64, rows *derivRows) (lik float64, grad []float64, info *Matrix) {
+	p, q := len(beta), len(gamma)
+	gc, gz, icc, izz, icz := rows.gc, rows.gz, rows.icc, rows.izz, rows.icz
 	for i, v := range z.y {
 		etaC, etaZ := Dot(z.countX.Row(i), beta), Dot(z.zeroX.Row(i), gamma)
 		mu := math.Exp(clampEta(etaC))
@@ -372,7 +375,7 @@ func (z *zipData) derivs(beta, gamma []float64) (lik float64, grad []float64, in
 		lik += zipLogPMFLg(int(v), pi, mu, z.lg[i])
 		if v > 0 {
 			gc[i], gz[i] = v-mu, -pi
-			icc[i], izz[i] = mu, pi*(1-pi)
+			icc[i], izz[i], icz[i] = mu, pi*(1-pi), 0
 		} else {
 			r := pi / (pi + (1-pi)*math.Exp(-mu))
 			gc[i], gz[i] = -(1-r)*mu, r-pi
@@ -416,6 +419,19 @@ func (z *zipData) derivs(beta, gamma []float64) (lik float64, grad []float64, in
 	return lik, grad, info
 }
 
+// derivRows holds derivs' per-row first and second derivatives in the
+// count and zero linear predictors.
+type derivRows struct {
+	gc, gz, icc, izz, icz []float64
+}
+
+func newDerivRows(n int) *derivRows {
+	return &derivRows{
+		gc: make([]float64, n), gz: make([]float64, n),
+		icc: make([]float64, n), izz: make([]float64, n), icz: make([]float64, n),
+	}
+}
+
 // objective is the log-likelihood less the zero part's ridge.
 func (z *zipData) objective(lik float64, gamma []float64) float64 {
 	for j, g := range gamma {
@@ -442,6 +458,7 @@ func (z *zipData) finish(beta, gamma []float64) zipFit {
 	damped := NewMatrix(k, k)
 	// info is the information with the ridge added.
 	info := NewMatrix(k, k)
+	rows := newDerivRows(len(z.y))
 	f := zipFit{}
 	// mu damps a step towards the gradient, Levenberg–Marquardt style, by
 	// adding mu times the information's diagonal. It grows tenfold while
@@ -451,7 +468,7 @@ func (z *zipData) finish(beta, gamma []float64) zipFit {
 	// direction, the damping finds one.
 	mu := 0.0
 	for {
-		lik, grad, inf := z.derivs(theta[:p], theta[p:])
+		lik, grad, inf := z.derivs(theta[:p], theta[p:], rows)
 		f.lik, f.info = lik, inf
 		copy(info.Data, inf.Data)
 		for j := 0; j < q; j++ {

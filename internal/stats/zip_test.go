@@ -249,7 +249,7 @@ func TestZIPDerivsMatchCentralDifferences(t *testing.T) {
 	}
 	zd := newZIPData(countX, y, zeroX)
 	f := func(t []float64) float64 { return zd.logLik(t[:p], t[p:]) }
-	lik, grad, info := zd.derivs(theta[:p], theta[p:])
+	lik, grad, info := zd.derivs(theta[:p], theta[p:], newDerivRows(len(zd.y)))
 	sameBit(t, "log-likelihood", lik, f(theta))
 
 	h := make([]float64, k)
@@ -299,7 +299,8 @@ func TestZIPStdErrsMatchAnalyticInformation(t *testing.T) {
 				t.Fatalf("%s: zero coefficient %d not identified", c.name, j)
 			}
 		}
-		_, _, info := newZIPData(c.countX, c.y, c.zeroX).derivs(res.Count.Coef, res.Zero.Coef)
+		zd := newZIPData(c.countX, c.y, c.zeroX)
+		_, _, info := zd.derivs(res.Count.Coef, res.Zero.Coef, newDerivRows(len(c.y)))
 		cov, err := InvertSPD(info)
 		if err != nil {
 			t.Fatal(err)

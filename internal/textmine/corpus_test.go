@@ -47,6 +47,38 @@ func TestClassifyMatchesRegexOnCorpora(t *testing.T) {
 	}
 }
 
+// TestMineMatchesRegexOnCorpora requires Normalize and ExtractValues to
+// give every distinct obligation text of two generated corpora exactly
+// the regex-era output, and Mine to return Classify's and
+// ExtractValues' results.
+func TestMineMatchesRegexOnCorpora(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		texts := corpusTexts(t, seed, 0.05)
+		withValues := 0
+		for _, text := range texts {
+			if got, want := textmine.Normalize(text), textmine.RefNormalize(text); got != want {
+				t.Fatalf("seed %d: Normalize(%q) = %q, regex reference %q", seed, text, got, want)
+			}
+			vals := textmine.ExtractValues(text)
+			if want := textmine.RefExtractValues(text); !reflect.DeepEqual(vals, want) {
+				t.Fatalf("seed %d: ExtractValues(%q) = %v, regex reference %v", seed, text, vals, want)
+			}
+			cats, methods, mined := textmine.Mine(text)
+			wantCats, wantMethods := textmine.Classify(text)
+			if !reflect.DeepEqual(cats, wantCats) || !reflect.DeepEqual(methods, wantMethods) || !reflect.DeepEqual(mined, vals) {
+				t.Fatalf("seed %d: Mine(%q) = %v %v %v, want %v %v %v", seed, text, cats, methods, mined, wantCats, wantMethods, vals)
+			}
+			if len(vals) > 0 {
+				withValues++
+			}
+		}
+		if withValues == 0 {
+			t.Fatalf("seed %d: no text quotes a value", seed)
+		}
+		t.Logf("seed %d: %d distinct texts agree, %d quote values", seed, len(texts), withValues)
+	}
+}
+
 // BenchmarkClassifyCorpus classifies each distinct obligation text of a
 // generated corpus once per iteration, as the analysis index does.
 func BenchmarkClassifyCorpus(b *testing.B) {

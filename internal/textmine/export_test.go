@@ -1,5 +1,9 @@
 package textmine
 
-// RefClassify exposes the regex-era reference classifier to the external
-// test package, which can import the market simulator without a cycle.
-var RefClassify = refClassify
+// The regex-era references, exposed to the external test package, which
+// can import the market simulator without a cycle.
+var (
+	RefClassify      = refClassify
+	RefNormalize     = refNormalize
+	RefExtractValues = refExtractValues
+)

@@ -81,6 +81,52 @@ func FuzzClassifyMatchesRegex(f *testing.F) {
 	f.Fuzz(classifyMatchesRegex)
 }
 
+// valueSeeds are inputs at the edges of the value patterns: the
+// multi-byte symbols, invalid UTF-8, a \v that \s does not cover, a
+// crypto amount starting at a "." after a word byte, a "k" that fails its
+// \b, a fraction with no digits, the eth/ethereum and dollar/dollars
+// alternatives, overlapping readings and a number too large to parse.
+var valueSeeds = []string{
+	"£20 or €15 or 0.004 BTC", "£ 5k", "€5.5kx", "\xc2$5", "\xe2\x82\xac7 eur",
+	"\xff5 btc", "$\v5", "5\vbtc", "\v 5 usd \v", "a.5 btc", "x.5btc", ".5 btc",
+	"$5kx", "$5.5x", "$5.5k", "12. btc", "1..5 btc", "3 ethereum", "3 eth",
+	"3 etherium", "10 dollars", "10 dollar", "10 dollarsx", "2k usd", "2 k usd",
+	"2.5k euros", "$100 btc", "100 btc $5", "5 usd5 usd", "1e5 usd",
+	"$" + strings.Repeat("9", 400), strings.Repeat("9", 400) + " btc",
+	"gift card 5 usd_", "BTC 5 BTC", "$5\t$6",
+}
+
+// FuzzNormalizeMatchesRegex requires the one-pass Normalize to produce
+// exactly what the regular-expression normaliser it replaced did.
+func FuzzNormalizeMatchesRegex(f *testing.F) {
+	for _, seed := range append(valueSeeds, concurrencyTexts...) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := Normalize(text), refNormalize(text); got != want {
+			t.Fatalf("Normalize(%q) = %q, regex reference %q", text, got, want)
+		}
+	})
+}
+
+// FuzzExtractValuesMatchesRegex requires the value scanners to extract
+// exactly what the regular expressions they replaced did: through
+// ExtractValues, and applied straight to the raw input, which may hold
+// upper case, delimiters and every \s byte.
+func FuzzExtractValuesMatchesRegex(f *testing.F) {
+	for _, seed := range valueSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := ExtractValues(text), refExtractValues(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ExtractValues(%q) = %v, regex reference %v", text, got, want)
+		}
+		if got, want := valuesFromNorm(text), refValuesFromNorm(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("valuesFromNorm(%q) = %v, regex reference %v", text, got, want)
+		}
+	})
+}
+
 // TestClassifyMatchesRegexAtWordEdges puts every keyword of every rule,
 // once and twice, between neighbours on each side of RE2's \b (word
 // bytes, non-word ASCII, a non-ASCII letter and space, invalid UTF-8, the

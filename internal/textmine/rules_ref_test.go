@@ -56,7 +56,7 @@ var refMethodRules = []struct {
 }
 
 func refClassify(text string) ([]Category, []Method) {
-	norm := Normalize(text)
+	norm := refNormalize(text)
 	methods := refMethodsFromNorm(norm)
 	var out []Category
 	for _, rule := range refCatRules {

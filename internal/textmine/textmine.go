@@ -5,14 +5,7 @@
 // of quoted trading values with their currency denominations.
 package textmine
 
-import (
-	"regexp"
-	"sort"
-	"strconv"
-	"strings"
-
-	"turnup/internal/fx"
-)
+import "strings"
 
 // Category is a trading-activity bucket from the paper's Table 3.
 type Category string
@@ -74,10 +67,15 @@ var Methods = []Method{
 	MVBucks, MZelle, MBitcoinCash, MLitecoin, MMonero, MApplePay, MSkrill,
 }
 
-var (
-	delimRe      = regexp.MustCompile(`[,;:!?()\[\]{}"'*_/\\|<>+=~` + "`" + `]`)
-	multiSpaceRe = regexp.MustCompile(`\s+`)
-)
+// isSeparator marks the bytes Normalize turns into a space: the
+// delimiters [,;:!?()[]{}"'*_/\|<>+=~`] and RE2's \s class [\t\n\f\r ].
+// All are ASCII, so no byte of a multi-byte UTF-8 sequence is one.
+var isSeparator = func() (t [256]bool) {
+	for _, b := range []byte(",;:!?()[]{}\"'*_/\\|<>+=~`" + "\t\n\f\r ") {
+		t[b] = true
+	}
+	return t
+}()
 
 // synonyms unifies common spellings before matching, mirroring the paper's
 // "unifying synonyms" normalisation step.
@@ -97,14 +95,25 @@ var synonyms = []struct{ from, to string }{
 	{"remote access trojan", "rat"},
 }
 
-// Normalize lower-cases the text, strips delimiters, collapses whitespace,
+// Normalize lower-cases the text, turns each run of delimiters and
+// whitespace into one space in a single pass over the bytes, trims it,
 // and unifies synonym spellings. Digits are retained because value
 // extraction needs them.
 func Normalize(text string) string {
 	s := strings.ToLower(text)
-	s = delimRe.ReplaceAllString(s, " ")
-	s = multiSpaceRe.ReplaceAllString(s, " ")
-	s = strings.TrimSpace(s)
+	var b strings.Builder
+	b.Grow(len(s))
+	sep := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !isSeparator[c] {
+			b.WriteByte(c)
+		} else if !sep {
+			b.WriteByte(' ')
+		}
+		sep = isSeparator[c]
+	}
+	s = strings.TrimSpace(b.String())
 	for _, syn := range synonyms {
 		s = strings.ReplaceAll(s, syn.from, syn.to)
 	}
@@ -245,10 +254,22 @@ func Categorize(text string) []Category {
 // Classify computes both the trading-activity categories and the payment
 // methods of the text over a single normalisation pass. It is exactly
 // Categorize plus PaymentMethods, but normalises once instead of three
-// times (Categorize's implicit-exchange rule needs the methods anyway) —
-// the form the analysis index memoizes per contract side.
+// times (Categorize's implicit-exchange rule needs the methods anyway).
 func Classify(text string) ([]Category, []Method) {
+	return classifyNorm(Normalize(text))
+}
+
+// Mine returns everything the analysis reads from one obligation text
+// (its categories, payment methods and quoted values) from a single
+// normalisation: Classify and ExtractValues in one call. The analysis
+// index stores it per contract side.
+func Mine(text string) ([]Category, []Method, []Money) {
 	norm := Normalize(text)
+	cats, methods := classifyNorm(norm)
+	return cats, methods, valuesFromNorm(norm)
+}
+
+func classifyNorm(norm string) ([]Category, []Method) {
 	methods := methodsFromNorm(norm)
 	var out []Category
 	for _, rule := range catRules {
@@ -300,96 +321,6 @@ func methodsFromNorm(norm string) []Method {
 			}
 		}
 		out = append(out, rule.m)
-	}
-	return out
-}
-
-// Money is one extracted value mention: an amount in a denomination.
-type Money struct {
-	Amount   float64
-	Currency fx.Currency
-}
-
-var (
-	symbolValRe = regexp.MustCompile(`([$£€])\s?([0-9]+(?:\.[0-9]+)?)(k?)\b`)
-	cryptoValRe = regexp.MustCompile(`\b([0-9]*\.?[0-9]+)\s?(btc|bitcoin|eth|ethereum|ltc|litecoin|xmr|monero|bch)\b`)
-	fiatValRe   = regexp.MustCompile(`\b([0-9]+(?:\.[0-9]+)?)(k?)\s?(usd|dollars?|gbp|pounds?|eur|euros?|cad|aud|inr|jpy|yen)\b`)
-)
-
-// ExtractValues pulls every quoted value with its denomination out of the
-// obligation text, per the paper's §4.5 extraction: currency symbols
-// ("$100", "£20"), fiat codes ("100 usd", "20k inr"), and crypto amounts
-// ("0.05 btc"). Amounts suffixed with "k" are scaled by 1000.
-//
-// Symbol-prefixed amounts take precedence: "$100 btc" means one hundred
-// dollars' worth of Bitcoin, so the trailing "100 btc" crypto reading is
-// suppressed. Mentions are returned in order of appearance.
-func ExtractValues(text string) []Money {
-	norm := Normalize(text)
-	type mention struct {
-		start int
-		money Money
-	}
-	var mentions []mention
-	taken := make([]bool, len(norm))
-	claim := func(lo, hi int) bool {
-		for i := lo; i < hi && i < len(taken); i++ {
-			if taken[i] {
-				return false
-			}
-		}
-		for i := lo; i < hi && i < len(taken); i++ {
-			taken[i] = true
-		}
-		return true
-	}
-
-	for _, idx := range symbolValRe.FindAllStringSubmatchIndex(norm, -1) {
-		amtStr := norm[idx[4]:idx[5]]
-		amt, err := strconv.ParseFloat(amtStr, 64)
-		if err != nil || !claim(idx[0], idx[1]) {
-			continue
-		}
-		if idx[6] >= 0 && norm[idx[6]:idx[7]] == "k" {
-			amt *= 1000
-		}
-		cur := fx.USD
-		switch norm[idx[2]:idx[3]] {
-		case "£":
-			cur = fx.GBP
-		case "€":
-			cur = fx.EUR
-		}
-		mentions = append(mentions, mention{idx[0], Money{Amount: amt, Currency: cur}})
-	}
-	for _, idx := range cryptoValRe.FindAllStringSubmatchIndex(norm, -1) {
-		amt, err := strconv.ParseFloat(norm[idx[2]:idx[3]], 64)
-		if err != nil || !claim(idx[0], idx[1]) {
-			continue
-		}
-		if cur, ok := fx.ParseCurrency(norm[idx[4]:idx[5]]); ok {
-			mentions = append(mentions, mention{idx[0], Money{Amount: amt, Currency: cur}})
-		}
-	}
-	for _, idx := range fiatValRe.FindAllStringSubmatchIndex(norm, -1) {
-		amt, err := strconv.ParseFloat(norm[idx[2]:idx[3]], 64)
-		if err != nil || !claim(idx[0], idx[1]) {
-			continue
-		}
-		if idx[4] >= 0 && norm[idx[4]:idx[5]] == "k" {
-			amt *= 1000
-		}
-		if cur, ok := fx.ParseCurrency(norm[idx[6]:idx[7]]); ok {
-			mentions = append(mentions, mention{idx[0], Money{Amount: amt, Currency: cur}})
-		}
-	}
-	sort.SliceStable(mentions, func(i, j int) bool { return mentions[i].start < mentions[j].start })
-	out := make([]Money, 0, len(mentions))
-	for _, m := range mentions {
-		out = append(out, m.money)
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
