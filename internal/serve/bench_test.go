@@ -24,8 +24,20 @@ import (
 )
 
 // benchGet fetches url and discards the body.
-func benchGet(b testing.TB, url string) {
-	resp, err := http.Get(url)
+func benchGet(b testing.TB, url string) { benchGetHdr(b, url, "") }
+
+// benchGetHdr fetches url with the given Accept-Encoding and discards the
+// body. An empty encoding leaves the client's transparent gzip on; any
+// other value turns it off, so the raw wire body is read.
+func benchGetHdr(b testing.TB, url, acceptEncoding string) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if acceptEncoding != "" {
+		req.Header.Set("Accept-Encoding", acceptEncoding)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,6 +77,29 @@ func BenchmarkServeHotRenderCached(b *testing.B) {
 		benchGet(b, url)
 	}
 }
+
+// benchHotJSON measures the warm full report as a JSON envelope, with
+// the given Accept-Encoding: every iteration is a render-tier hit that
+// encodes only the envelope head around the cached report.
+func benchHotJSON(b *testing.B, acceptEncoding string) {
+	ts := httptest.NewServer(serve.New(serve.Options{}))
+	defer ts.Close()
+	url := ts.URL + "/v1/report?seed=1&scale=0.02&models=false&format=json"
+	benchGetHdr(b, url, acceptEncoding) // prime both cache tiers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGetHdr(b, url, acceptEncoding)
+	}
+}
+
+// BenchmarkServeHotJSON is the warm JSON hit for an identity client.
+func BenchmarkServeHotJSON(b *testing.B) { benchHotJSON(b, "identity") }
+
+// BenchmarkServeHotJSONGzip is the warm JSON hit for a gzip client, whose
+// body splices the envelope head into the entry's gzip variant; the
+// client reads the compressed bytes without inflating them.
+func BenchmarkServeHotJSONGzip(b *testing.B) { benchHotJSON(b, "gzip") }
 
 // BenchmarkServeHotRenderUncached is the same hot request with the render
 // tier disabled: every iteration is a result-cache hit that still pays

@@ -18,7 +18,7 @@ func FuzzETagMatch(f *testing.F) {
 		f.Add(h, "sections|growth", uint8(3), true)
 	}
 	f.Fuzz(func(t *testing.T, header, key string, pos uint8, weak bool) {
-		etag := buildRendered(key, Params{}, []byte("body"), weak).ETag
+		etag := buildRendered(key, Params{}, []byte("body"), weak, true).ETag
 		etagMatch(header, etag)
 		if etagMatch("", etag) {
 			t.Fatalf("empty header matched %s", etag)

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"sync"
 
@@ -21,16 +22,19 @@ func renderKey(p Params, sections []string, format string) string {
 	return p.Key() + "|" + strings.Join(sections, ",") + "|" + format
 }
 
-// Rendered is one cached rendered body. Body is the exact bytes the
-// uncached path would write (the text report, or the JSON envelope's
-// report fragment — the envelope itself carries a per-request id and is
-// rebuilt around the fragment on every response). Gzip, when non-nil, is
-// the precompressed Body, so a hot hit for a gzip-accepting client is a
-// memcpy of already-compressed bytes. ETag is the fully formed header
-// value: a strong `"…"` when Body is byte-identical to the response body
-// (text), a weak `W/"…"` when the response embeds Body in a per-request
-// envelope (JSON). Entries are immutable once built — they are served
-// concurrently without copying.
+// Rendered is one cached rendered body, held in the form its responses
+// are written in, so a hit encodes nothing but the per-request envelope
+// head and compresses nothing at all. Body is what follows that head on
+// the wire: the whole text report (no head), or for JSON the report as
+// an encoded string literal that closes the envelope (`"…"}` and a
+// newline; see envelopeHead). Gzip, when non-nil, is Body as one gzip
+// member, compressed once when the entry is built: a text hit for a gzip
+// client writes it verbatim, and a JSON hit splices its head into it
+// (writeGzipSplice). ETag is the fully formed header value: a strong
+// `"…"` when Body is byte-identical to the response body (text), a weak
+// `W/"…"` when the response wraps Body in a per-request envelope (JSON).
+// Entries are immutable once built — they are served concurrently
+// without copying.
 type Rendered struct {
 	Key    string
 	Params Params
@@ -40,20 +44,23 @@ type Rendered struct {
 	size   int64
 }
 
-// buildRendered assembles an entry outside any lock: content hash → ETag,
-// and (for strong entries worth it) the precompressed gzip variant. The
-// ETag hashes the render key alongside the body, so equal bodies under
-// different parameters still get distinct validators. The gzip variant is
-// only kept when it actually shrinks the body; tiny or incompressible
-// bodies are served identity-only.
-func buildRendered(key string, p Params, body []byte, weak bool) *Rendered {
+// buildRendered assembles an entry outside any lock from the rendered
+// report body: content hash → ETag, the JSON string encoding for JSON
+// entries (weak), and, when compress is set, the gzip variant. The ETag
+// hashes the render key alongside the raw report, so equal reports under
+// different parameters still get distinct validators, and a JSON ETag is
+// the same whatever form the entry stores. The gzip variant is only kept
+// when it actually shrinks Body; tiny or incompressible bodies are served
+// identity-only.
+func buildRendered(key string, p Params, body []byte, weak, compress bool) *Rendered {
 	h := sha256.Sum256(append([]byte(key+"\x00"), body...))
 	etag := `"` + hex.EncodeToString(h[:16]) + `"`
 	if weak {
 		etag = "W/" + etag
+		body = jsonTail(body)
 	}
 	e := &Rendered{Key: key, Params: p, Body: body, ETag: etag}
-	if !weak && len(body) >= 256 {
+	if compress && len(body) >= 256 {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		_, _ = zw.Write(body)
@@ -65,12 +72,20 @@ func buildRendered(key string, p Params, body []byte, weak bool) *Rendered {
 	return e
 }
 
+// jsonTail encodes report the way json.Encoder encodes reportResponse's
+// last field, and closes the envelope after it: the string literal, `}`
+// and the encoder's newline.
+func jsonTail(report []byte) []byte {
+	b, _ := json.Marshal(string(report)) // a string always encodes
+	return append(b, '}', '\n')
+}
+
 // RenderCache is the second cache tier: rendered bodies keyed by
 // (params, sections, format), byte-budgeted LRU like the result cache
 // but holding small []byte values instead of whole result suites — a hot
 // hit skips Render entirely. A nil *RenderCache is a valid disabled
-// cache: Get always misses and Put builds the entry without retaining it,
-// so the serving path needs no branches beyond the nil receiver.
+// cache: Get always misses and Put builds the entry, without a gzip
+// variant, and does not retain it.
 type RenderCache struct {
 	maxEntry int64 // admission bound: maxBytes/4, one body cannot flush the tier
 	reg      *obs.Registry
@@ -132,8 +147,11 @@ func (rc *RenderCache) Get(key string) (*Rendered, bool) {
 // of the budget are built but never retained
 // (serve_render_cache_rejected_total). The entry is returned either way,
 // so the caller serves this response from it regardless of admission.
+// A disabled tier compresses nothing: its entry serves one response, and
+// only a gzip client needs the compressed bytes, which the streaming
+// wrapper makes as it writes them.
 func (rc *RenderCache) Put(key string, p Params, body []byte, weak bool) *Rendered {
-	e := buildRendered(key, p, body, weak)
+	e := buildRendered(key, p, body, weak, rc != nil)
 	if rc == nil {
 		return e
 	}

@@ -1,13 +1,15 @@
 // Tests for the rendered-section cache tier and the conditional-request
 // machinery around it: byte-identity with the uncached path, strong/weak
-// ETags, If-None-Match → 304 with an empty body, gzip negotiation on both
-// the miss path (streaming wrapper) and the hit path (precompressed
+// ETags, If-None-Match → 304 with an empty body, gzip negotiation on the
+// disabled tier (streaming wrapper) and on misses and hits (precompressed
 // variant), Vary headers, and two-tier invalidation coherence.
 package serve_test
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -186,17 +188,34 @@ func TestReportGzipOnMissAndPrecompressedHit(t *testing.T) {
 		return string(out)
 	}
 
-	// Drain the caches' state: a fresh fixture so the first gzip request
-	// exercises the miss-path streaming writer, the second the
-	// precompressed render-tier variant.
+	// A disabled render tier builds no gzip variant, so its gzip client
+	// gets the streaming writer: chunked, with no Content-Length.
+	res := tinyResults(t)
+	off := httptest.NewServer(serve.New(serve.Options{RenderCacheBytes: -1,
+		Runner: func(context.Context, serve.Params, *serve.Snapshot) (*turnup.Results, error) { return res, nil }}))
+	defer off.Close()
+	streamResp, streamWire := getHdr(t, off.URL+"/v1/report?seed=7&scale=0.02&models=false", map[string]string{"Accept-Encoding": "gzip"})
+	if got := gunzip(t, streamResp, streamWire); got != string(plain) {
+		t.Fatal("streamed gzip body differs from identity body")
+	}
+	if streamResp.ContentLength != -1 {
+		t.Fatalf("disabled tier sent Content-Length %d; want the streaming writer", streamResp.ContentLength)
+	}
+	if vary := streamResp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+		t.Fatalf("streamed gzip Vary=%q", vary)
+	}
+
+	// On a fresh enabled tier the miss serves the entry it just built, and
+	// the repeat request hits it: both write the precompressed variant.
 	_, ts2, reg2, _ := renderFixture(t)
 	url2 := ts2.URL + "/v1/report?seed=7&scale=0.02&models=false"
 	missResp, missWire := getHdr(t, url2, map[string]string{"Accept-Encoding": "gzip"})
 	if got := gunzip(t, missResp, missWire); got != string(plain) {
 		t.Fatal("gzip miss-path body differs from identity body")
 	}
-	if vary := missResp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
-		t.Fatalf("gzip miss Vary=%q", vary)
+	if missResp.Header.Get("X-Cache") != "miss" || missResp.ContentLength != int64(len(missWire)) {
+		t.Fatalf("gzip miss: X-Cache=%q Content-Length=%d, want a miss with the variant's %d bytes",
+			missResp.Header.Get("X-Cache"), missResp.ContentLength, len(missWire))
 	}
 	hitResp, hitWire := getHdr(t, url2, map[string]string{"Accept-Encoding": "gzip"})
 	if got := gunzip(t, hitResp, hitWire); got != string(plain) {
@@ -269,8 +288,8 @@ func TestInvalidateClearsBothTiers(t *testing.T) {
 // gauges track Bytes()/Len() throughout.
 func TestRenderCacheBudget(t *testing.T) {
 	body := func(n int) []byte { return []byte(strings.Repeat("x", n)) }
-	// Weak entries carry no gzip variant, so a fixed-length key and body
-	// always cost the same; measure that cost on an unbounded tier.
+	// Entries of one key length and one body cost the same; measure that
+	// cost on an unbounded tier.
 	probe := serve.NewRenderCache(1<<20, obs.NewRegistry())
 	probe.Put("k0", serve.Params{}, body(500), true)
 	size := probe.Bytes()
@@ -309,7 +328,11 @@ func TestRenderCacheBudget(t *testing.T) {
 	gauges("after eviction")
 
 	big := body(501) // one byte over a quarter of the budget
-	if e := rc.Put("k6", serve.Params{}, big, true); e == nil || string(e.Body) != string(big) {
+	// A JSON entry holds the report as the string literal that closes the
+	// envelope, so the returned entry must decode back to the body.
+	var got string
+	if e := rc.Put("k6", serve.Params{}, big, true); e == nil ||
+		json.Unmarshal(bytes.TrimSuffix(e.Body, []byte("}\n")), &got) != nil || got != string(big) {
 		t.Fatal("over-quarter body not returned to the caller")
 	}
 	if got := reg.Counter("serve_render_cache_rejected_total").Value(); got != 1 {

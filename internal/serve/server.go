@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -284,6 +285,9 @@ type reportResponse struct {
 	// evidence ("absent"): their §4.5 audit is unverifiable rather than
 	// silently empty. Omitted for generated corpora.
 	Ledger string `json:"ledger,omitempty"`
+	// Report must stay the last field: responses are the encoded head of
+	// the envelope before it (envelopeHead) and the cached report,
+	// encoded once, that closes it.
 	Report string `json:"report"`
 }
 
@@ -397,33 +401,63 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // (ETag, Vary, X-Cache set by the caller, the dataset headers set during
 // snapshot pinning) are identical whichever path produced the bytes.
 // If-None-Match revalidation answers 304 with zero body before any
-// encoding work; text hits for gzip-accepting clients serve the entry's
-// precompressed bytes, and everything else compresses through the lazy
-// wrapper.
+// encoding work. A JSON body is the envelope head, encoded per request,
+// followed by the entry's pre-encoded report; a text body is the entry's
+// Body alone. A gzip client gets the entry's gzip variant, with the head
+// spliced in, so no response deflates anything. An entry without a
+// variant (under 256 B, or one that gzip does not shrink) is served
+// identity to every client, since compressing it per request would cost
+// a fresh deflate writer for nothing; only the disabled tier, which builds
+// no variants, compresses through the streaming wrapper.
 func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, e *Rendered, p Params, sections []string, status Status, ledger string, isJSON bool) {
-	gw, flush := negotiateGzip(w, r)
-	defer flush()
 	h := w.Header()
+	h.Add("Vary", "Accept-Encoding")
 	h.Set("ETag", e.ETag)
 	if etagMatch(r.Header.Get("If-None-Match"), e.ETag) {
 		s.reg.Counter("serve_http_304_total").Inc()
-		gw.WriteHeader(http.StatusNotModified)
+		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	var head []byte
 	if isJSON {
-		writeJSON(gw, http.StatusOK, reportResponse{Meta: s.meta(r), Params: p, Sections: sections, Cache: status, Ledger: ledger, Report: string(e.Body)})
-		return
+		var err error
+		head, err = envelopeHead(reportResponse{Meta: s.meta(r), Params: p, Sections: sections, Cache: status, Ledger: ledger})
+		if err != nil {
+			s.fail(w, r, http.StatusInternalServerError, CodeInternal, err)
+			return
+		}
+		h.Set("Content-Type", "application/json")
+	} else {
+		h.Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	h.Set("Content-Type", "text/plain; charset=utf-8")
-	if e.Gzip != nil && acceptsGzip(r) {
-		// Precompressed hot path: setting Content-Encoding here flips the
-		// gzip wrapper into passthrough, so these bytes go out verbatim.
+	switch gz := acceptsGzip(r); {
+	case gz && e.Gzip != nil:
 		h.Set("Content-Encoding", "gzip")
-		h.Set("Content-Length", strconv.Itoa(len(e.Gzip)))
-		_, _ = gw.Write(e.Gzip)
-		return
+		h.Set("Content-Length", strconv.Itoa(gzipSpliceLen(head, e.Gzip)))
+		_ = writeGzipSplice(w, head, e.Body, e.Gzip)
+	case gz && s.rcache == nil:
+		gw := &gzipResponseWriter{ResponseWriter: w}
+		defer gw.flush()
+		_, _ = gw.Write(head)
+		_, _ = gw.Write(e.Body)
+	default:
+		h.Set("Content-Length", strconv.Itoa(len(head)+len(e.Body)))
+		_, _ = w.Write(head)
+		_, _ = w.Write(e.Body)
 	}
-	_, _ = gw.Write(e.Body)
+}
+
+// envelopeHead encodes resp, whose Report is empty, up to the report
+// value: what json.Encoder writes for resp minus the `""}` and newline
+// that close it. Report is reportResponse's last field, so the head
+// followed by a JSON entry's Body is byte for byte the encoder's output
+// for the whole envelope.
+func envelopeHead(resp reportResponse) ([]byte, error) {
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return nil, err
+	}
+	return b[:len(b)-len(`""}`)], nil
 }
 
 // etagMatch implements If-None-Match for GET: "*" matches anything, and
