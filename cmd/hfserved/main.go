@@ -29,7 +29,7 @@
 // generation (X-Dataset-Generation on reports) and invalidating exactly
 // the cached reports the append supersedes. ?window=30d|90d|era-to-date
 // and ?as-of=YYYY-MM-DD select a time-windowed view of a dataset-backed
-// report; -cache-ttl adds an age bound on top of generation keying.
+// report.
 //
 // Every request is assigned a request id (an inbound X-Request-Id is
 // honoured), echoed on the X-Request-Id response header, stamped on the
@@ -79,7 +79,6 @@ func main() {
 	cache := flag.Int("cache", 64, "completed results retained in the LRU (count bound, secondary to -max-cache-bytes)")
 	maxCacheBytes := flag.Int64("max-cache-bytes", 1<<30, "result cache byte budget; entries are sized at admission and evicted by bytes, and results over a quarter of it are never cached")
 	renderCacheBytes := flag.Int64("render-cache-bytes", 64<<20, "rendered-section cache byte budget (0 = default, negative disables the tier)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "max age a cached result is served (0 = no age bound; generation keying still invalidates on append)")
 	maxRuns := flag.Int("max-runs", 2, "concurrent pipeline runs (cache hits bypass this cap)")
 	workers := flag.Int("workers", 0, "concurrent analysis stages per run (0 = GOMAXPROCS)")
 	maxScale := flag.Float64("max-scale", 1.0, "largest accepted ?scale= parameter")
@@ -129,7 +128,6 @@ func main() {
 		CacheSize:        *cache,
 		MaxCacheBytes:    *maxCacheBytes,
 		RenderCacheBytes: *renderCacheBytes,
-		CacheTTL:         *cacheTTL,
 		MaxRuns:          *maxRuns,
 		Workers:          *workers,
 		MaxScale:         *maxScale,

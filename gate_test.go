@@ -22,9 +22,9 @@ const (
 )
 
 // TestSuiteDescriptiveGate is the descriptive suite's performance gate,
-// on BenchmarkSuiteDescriptive's corpus and options. Each of three runs,
-// the first of which builds the corpus groups and the obligation table,
-// must stay within 2x the snapshot's time — which catches reintroduced
+// on BenchmarkSuiteDescriptive's corpus and options. Each of three runs
+// builds its own Index, so each pays for the corpus groups and the
+// obligation table, and each must stay within 2x the snapshot's time — which catches reintroduced
 // corpus rescans (10x-class regressions), not percent-level drift — and
 // make at most half the snapshot's allocations, the drop the columnar
 // core delivered. It is left out of race builds, whose instrumentation

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"time"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -177,13 +176,4 @@ func monthlyCounts[N comparable](ix *Index, top []N, bit map[N]uint32, sides fun
 		counts[n] = series[j]
 	}
 	return counts
-}
-
-// completedAt is a completed contract's completion time, or its creation
-// time when no completion date is recorded.
-func completedAt(c *forum.Contract) time.Time {
-	if c.Completed.IsZero() {
-		return c.Created
-	}
-	return c.Completed
 }

@@ -1,20 +1,6 @@
 package analysis
 
-import (
-	"turnup/internal/dataset"
-	"turnup/internal/forum"
-)
-
-// RebuildIndex returns an Index over a freshly built set of derived
-// groups, bypassing — and not installing into — the dataset's shared
-// cache. The incremental tests compare an appended Index against it
-// when "from scratch" must mean exactly that: NewIndex would resolve the
-// shared cache slot Append installed the groups under test into.
-func RebuildIndex(d *dataset.Dataset) *Index {
-	ix := &Index{D: d}
-	ix.g.Store(buildGroups(d))
-	return ix
-}
+import "turnup/internal/forum"
 
 // Obligations returns ix's obligation table: one entry of category and
 // method masks and quoted values per CompletedPublic contract, in the

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sync"
+	"time"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -9,19 +10,18 @@ import (
 )
 
 // corpusGroups is the full set of derived groupings over one immutable
-// corpus — the value an Index hands out and the dataset's derived-cache
-// slot stores, so every Index over the same corpus (per-stage, per-report,
-// per-generation) shares one construction instead of each rebuilding it.
+// corpus, owned by the Index that built it. Callers that want to share
+// one construction share the Index (the scheduler, the dataset store and
+// the benchmarks all pass theirs along).
 //
 // The eager groups are filled by buildGroups in a single scan of the
-// columnar projection; the obligation table, which holds everything the
-// text mining yields, stays lazy behind its own sync.Once so partial
-// runs never pay for text mining they don't touch. Everything here is
-// shared read-only data; the incremental append path extends copies (see
-// Append), never mutates an installed corpusGroups.
+// contract rows; the obligation table, which holds everything the text
+// mining yields, stays lazy behind its own sync.Once so partial runs
+// never pay for text mining they don't touch. Everything here is shared
+// read-only data; the incremental append path extends copies (see
+// Append), never mutates a built corpusGroups.
 type corpusGroups struct {
-	// nContracts keys cache freshness: a dataset whose contract count no
-	// longer matches was extended (or mutated) and rebuilds.
+	// nContracts is the extend cursor: the rows the groups cover.
 	nContracts int
 
 	byMonth          [dataset.NumMonths][]*forum.Contract
@@ -69,23 +69,8 @@ func catMaskOf(cats []textmine.Category) uint32 { return maskOf(cats, catBit) }
 
 func methMaskOf(ms []textmine.Method) uint32 { return maskOf(ms, methBit) }
 
-// sharedGroups resolves the corpus's derived groups through the dataset's
-// cache slot: built at most once per corpus content, shared by every
-// Index. Freshness is keyed to the contract count, so copy-on-write
-// extensions (which install their own groups via StoreDerived) and
-// rebuilt datasets both resolve correctly.
-func sharedGroups(d *dataset.Dataset) *corpusGroups {
-	return d.CachedDerived(
-		func(v any) bool {
-			g, ok := v.(*corpusGroups)
-			return ok && g.nContracts == len(d.Contracts)
-		},
-		func() any { return buildGroups(d) },
-	).(*corpusGroups)
-}
-
-// buildGroups derives every eager group in one scan of the columnar
-// projection (see extend) and leaves the obligation table lazy.
+// buildGroups derives every eager group in one scan of d's rows (see
+// extend) and leaves the obligation table lazy.
 func buildGroups(d *dataset.Dataset) *corpusGroups {
 	g := &corpusGroups{
 		userContracts: make(map[forum.UserID][]*forum.Contract, len(d.Users)),
@@ -97,47 +82,47 @@ func buildGroups(d *dataset.Dataset) *corpusGroups {
 
 // extend buckets d's rows from g.nContracts on — every row for a fresh
 // build, the appended suffix for Append — and advances g.nContracts to
-// cover d. Predicates read the projection's month, completion-month, era
-// and public columns and the interned party table, so BuildBlock alone
-// decides where a contract lands; bucket contents are the corpus's own
-// contract pointers, appended in corpus order. The scan is sequential,
-// so the result is the same at any worker count, and extending a prefix's
-// groups by the remaining rows equals building them all at once.
+// cover d. Bucket contents are the corpus's own contract pointers,
+// appended in corpus order. The scan is sequential, so the result is the
+// same at any worker count, and extending a prefix's groups by the
+// remaining rows equals building them all at once.
 func (g *corpusGroups) extend(d *dataset.Dataset) {
-	row := 0
-	for _, b := range d.Columns().Blocks {
-		for i := max(g.nContracts-row, 0); i < b.N; i++ {
-			c := d.Contracts[row+i]
-			m := b.Month[i]
-			g.byMonth[m] = append(g.byMonth[m], c)
-			done := b.CompletedMonth[i] >= 0
-			if done {
-				cm := b.CompletedMonth[i]
-				g.completedByMonth[cm] = append(g.completedByMonth[cm], c)
-				g.completed = append(g.completed, c)
-			}
-			if b.Public[i] && done {
+	for _, c := range d.Contracts[g.nContracts:] {
+		m := dataset.MonthOf(c.Created)
+		g.byMonth[m] = append(g.byMonth[m], c)
+		if c.IsComplete() {
+			cm := dataset.MonthOf(completedAt(c))
+			g.completedByMonth[cm] = append(g.completedByMonth[cm], c)
+			g.completed = append(g.completed, c)
+			if c.Public {
 				g.completedPublic = append(g.completedPublic, c)
 			}
-			e := dataset.Era(b.Era[i])
-			g.inEra[e] = append(g.inEra[e], c)
-
-			maker := forum.UserID(b.PartyIDs[b.Maker[i]])
-			taker := forum.UserID(b.PartyIDs[b.Taker[i]])
-			g.userContracts[maker] = append(g.userContracts[maker], c)
-			if taker != maker {
-				g.userContracts[taker] = append(g.userContracts[taker], c)
-			}
-			if prev, ok := g.firstEra[maker]; !ok || e < prev {
-				g.firstEra[maker] = e
-			}
-			if prev, ok := g.firstEra[taker]; !ok || e < prev {
-				g.firstEra[taker] = e
-			}
 		}
-		row += b.N
+		e := dataset.EraOf(c.Created)
+		g.inEra[e] = append(g.inEra[e], c)
+
+		g.userContracts[c.Maker] = append(g.userContracts[c.Maker], c)
+		if c.Taker != c.Maker {
+			g.userContracts[c.Taker] = append(g.userContracts[c.Taker], c)
+		}
+		if prev, ok := g.firstEra[c.Maker]; !ok || e < prev {
+			g.firstEra[c.Maker] = e
+		}
+		if prev, ok := g.firstEra[c.Taker]; !ok || e < prev {
+			g.firstEra[c.Taker] = e
+		}
 	}
-	g.nContracts = row
+	g.nContracts = len(d.Contracts)
+}
+
+// completedAt is a completed contract's completion time, or its creation
+// time when no completion date is recorded: the instant that places it in
+// CompletedByMonth.
+func completedAt(c *forum.Contract) time.Time {
+	if c.Completed.IsZero() {
+		return c.Created
+	}
+	return c.Completed
 }
 
 // obligations returns the obligation table, building it on first use.

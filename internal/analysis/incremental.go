@@ -11,7 +11,7 @@ import (
 // runs (extend), over nd's new rows only, and only the new completed-public
 // obligation text is mined. nd must be ix.D plus added (ingest.Apply's
 // contract, whether it applied one batch or several — added is then their
-// contracts in batch order); the new rows are read from nd's projection,
+// contracts in batch order); the new rows are read from nd.Contracts,
 // which ends in exactly those contracts.
 //
 // Every group is a corpus-order scan, so the rebuild of nd visits the
@@ -22,9 +22,9 @@ import (
 // which the golden incremental test pins report-byte-for-byte.
 //
 // The parent's groups are never mutated (see clone). Suite runs holding
-// the parent keep reading consistent data. The extended groups are
-// installed into nd's derived-cache slot, so later NewIndex(nd) handles
-// (per-report, per-stage) share them.
+// the parent keep reading consistent data. The returned Index owns the
+// extended groups; callers share them by passing it along, as the
+// dataset store does for every report over nd.
 func (ix *Index) Append(nd *dataset.Dataset, added []*forum.Contract) *Index {
 	parent := ix.groups()
 	// Force the parent's obligation table so the child extends it instead
@@ -39,11 +39,7 @@ func (ix *Index) Append(nd *dataset.Dataset, added []*forum.Contract) *Index {
 	// lazy accessors hand out this state instead of rebuilding from nd.
 	child.obligOnce.Do(func() {})
 
-	nix := &Index{D: nd}
-	nix.g.Store(child)
-	// Share the extended groups with every future Index over nd.
-	nd.StoreDerived(child)
-	return nix
+	return &Index{D: nd, g: child}
 }
 
 // clone copies g, with its obligation table built, for a child corpus of

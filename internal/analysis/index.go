@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"turnup/internal/dataset"
 	"turnup/internal/forum"
@@ -16,25 +16,25 @@ import (
 // maker/taker obligation strings through the regex categoriser in five
 // separate stages.
 //
-// Since the columnar refactor the Index is a thin handle: the derived
-// groups themselves (corpusGroups) are built from one scan of the
-// dataset's columnar projection and cached on the Dataset, so distinct
-// Index values over the same corpus — per report request, per suite run,
-// per generation — share a single construction. An Index resolves its
-// groups on first use and then pins them, so a handle never observes two
-// different group sets.
+// The Index owns its derived groups (corpusGroups): they are built from
+// one scan of the contract rows the first time any group is requested,
+// exactly once however many goroutines ask, and kept for the Index's
+// lifetime. Callers that want to share one construction share the Index
+// itself — the scheduler hands one to every stage of a run, and the
+// dataset store keeps one per stored generation.
 //
 // Everything an Index hands out is shared and must be treated as
 // read-only; that is the same ownership discipline the stage DAG already
 // imposes on Suite slots. Construction is deterministic: the group
-// builder scans columns in corpus order and the obligation table
+// builder scans rows in corpus order and the obligation table
 // mines completed public contracts in that order, so results are
 // identical at any worker count.
 type Index struct {
 	// D is the underlying corpus; stages reach through the Index for it.
 	D *dataset.Dataset
 
-	g atomic.Pointer[corpusGroups]
+	once sync.Once
+	g    *corpusGroups
 }
 
 // obligation is what the text mining yields for one completed public
@@ -58,18 +58,17 @@ func (o obligation) cats() uint32 { return o.makerCats | o.takerCats }
 func (o obligation) meths() uint32 { return o.makerMeths | o.takerMeths }
 
 // NewIndex wraps a dataset. Nothing is computed until a group is first
-// requested, and the underlying groups are shared with every other Index
-// over the same corpus through the dataset's derived cache.
+// requested.
 func NewIndex(d *dataset.Dataset) *Index { return &Index{D: d} }
 
-// groups resolves (and pins) the derived groups for this handle.
+// groups returns the derived groups, building them on first use.
 func (ix *Index) groups() *corpusGroups {
-	if g := ix.g.Load(); g != nil {
-		return g
-	}
-	g := sharedGroups(ix.D)
-	ix.g.Store(g)
-	return g
+	ix.once.Do(func() {
+		if ix.g == nil {
+			ix.g = buildGroups(ix.D)
+		}
+	})
+	return ix.g
 }
 
 // ByMonth buckets contracts by creation month (shared; do not mutate).

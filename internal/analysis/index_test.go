@@ -13,8 +13,8 @@ import (
 )
 
 // scanGroups is the row-scan reference the Index groups are pinned to:
-// each group derived straight from the rows' own times and flags, with
-// no columnar projection involved.
+// each group derived straight from the rows' own times and flags, one
+// filter at a time, as the stages did before the Index.
 type scanGroups struct {
 	byMonth, completedByMonth  [dataset.NumMonths][]*forum.Contract
 	completed, completedPublic []*forum.Contract
@@ -112,21 +112,21 @@ func TestIndexCategoriesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestIndexConcurrentConstruction hammers every lazy group from many
-// goroutines at once — the pattern the scheduler produces when multiple
-// stages touch a cold index simultaneously. Run under -race this pins
-// the once-guard; the result checks pin that racing builders agree.
-// Each round indexes a fresh copy of the shared corpus, whose groups
-// other tests have already built and cached.
+// TestIndexConcurrentConstruction hammers every lazy group of a cold
+// Index from many goroutines at once — the pattern the scheduler produces
+// when multiple stages touch a new index simultaneously. Run under -race
+// this pins the Index's once-guard; every goroutine must observe the one
+// construction, and the racing build must agree with a serial one.
 func TestIndexConcurrentConstruction(t *testing.T) {
 	d := corpus(t)
+	refOblig := NewIndex(d).obligations() // built serially, compared after the race
 	for round := 0; round < 3; round++ {
-		ix := NewIndex(&dataset.Dataset{Users: d.Users, Contracts: d.Contracts})
-		ref := RebuildIndex(d) // built serially, compared after the race
-		refOblig := ref.obligations()
-
+		ix := NewIndex(d)
+		const n = 16
+		var seen [n]*corpusGroups
+		var seenOblig [n]*obligation
 		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
+		for g := 0; g < n; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
@@ -144,12 +144,21 @@ func TestIndexConcurrentConstruction(t *testing.T) {
 				case 5:
 					ix.FirstEraOfUse()
 				default:
-					ix.obligations()
+					seenOblig[g] = &ix.obligations()[0]
 				}
+				seen[g] = ix.groups()
 			}(g)
 		}
 		wg.Wait()
 
+		for g := range seen {
+			if seen[g] != seen[0] {
+				t.Fatalf("round %d: goroutine %d observed a second group construction", round, g)
+			}
+			if seenOblig[g] != nil && seenOblig[g] != &ix.obligations()[0] {
+				t.Fatalf("round %d: goroutine %d observed a second obligation table", round, g)
+			}
+		}
 		if !reflect.DeepEqual(ix.obligations(), refOblig) {
 			t.Fatalf("round %d: concurrent obligation build diverges from the serial one", round)
 		}
@@ -290,9 +299,7 @@ func TestIndexGroupsHandComputed(t *testing.T) {
 // BenchmarkIndexObligationBuild measures the cold group build and
 // obligation classification that a suite run over a new corpus pays
 // once, on the root package's bench corpus (seed 99, scale 0.05). Each
-// iteration builds over a fresh copy of the corpus, made outside the
-// timer and sharing its columnar projection: NewIndex over the same
-// dataset would resolve the groups the first iteration cached on it.
+// iteration builds a fresh Index, which owns and builds its own groups.
 func BenchmarkIndexObligationBuild(b *testing.B) {
 	d, _, err := market.Generate(market.Config{Seed: 99, Scale: 0.05})
 	if err != nil {
@@ -300,10 +307,6 @@ func BenchmarkIndexObligationBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fresh := &dataset.Dataset{Users: d.Users, Threads: d.Threads, Posts: d.Posts, Contracts: d.Contracts, Ledger: d.Ledger}
-		fresh.SetColumns(d.Columns())
-		b.StartTimer()
-		NewIndex(fresh).obligations()
+		NewIndex(d).obligations()
 	}
 }

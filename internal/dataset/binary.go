@@ -191,8 +191,9 @@ func putSpan(b []byte, sp Span, base uint32) {
 // DecodeBinary reads a TUDS binary dataset, validating the magic,
 // version, section bounds, enum ranges, span bounds, and the study
 // window. The decoded dataset carries its columnar projection pre-built
-// (one block over the wire arena), so analyses start scanning without a
-// rebuild; like the CSV pair, it has no threads, posts, or ledger.
+// (one block over the wire arena), so sizing, re-encoding and ingest's ID
+// scans need no rebuild; like the CSV pair, it has no threads, posts, or
+// ledger.
 func DecodeBinary(r io.Reader) (*Dataset, error) {
 	buf, err := io.ReadAll(r)
 	if err != nil {
@@ -299,7 +300,6 @@ func DecodeBinary(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.deriveScanColumns(cs)
 
 	if len(users) < 4 {
 		return nil, fmt.Errorf("dataset: user section truncated")

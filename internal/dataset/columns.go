@@ -12,10 +12,11 @@ import (
 // contracts project into one or more Blocks — parallel arrays of small
 // fixed-width fields (interned party IDs, epoch-second timestamps,
 // one-byte enums) plus a shared byte arena for the string fields, with
-// per-row Spans pointing into it. The analysis layer scans these columns
-// instead of chasing *forum.Contract pointers, the binary on-disk format
-// (binary.go) serialises them directly, and ingest appends new blocks
-// copy-on-write so generations share everything already built.
+// per-row Spans pointing into it. The projection is the storage and
+// ingest format: the binary on-disk format (binary.go) serialises it
+// directly, ingest appends new blocks copy-on-write so generations share
+// everything already built, and its ID columns answer ingest's duplicate
+// scans. The analysis layer reads the rows, not these columns.
 
 // timeSentinel encodes the zero time.Time in an epoch-second column. It
 // is unreachable from any parseable RFC 3339 timestamp, so round-trips
@@ -52,12 +53,6 @@ type Span struct {
 // Maker/Taker hold indexes into the block's interned PartyIDs table;
 // Created/Decided/Completed are epoch seconds (timeSentinel = unset);
 // the four string columns are Spans into the shared Arena.
-//
-// Month, CompletedMonth, and Era are derived scan-accelerator columns
-// computed at build time from the source contracts' full-precision times
-// — they are never serialised, and DecodeBinary recomputes them from the
-// second-precision wire times (equivalent: era and month boundaries are
-// whole-second instants).
 type Block struct {
 	N      int
 	ID     []int64
@@ -82,10 +77,6 @@ type Block struct {
 	BTC     []Span
 	Tx      []Span
 	Arena   []byte
-
-	Month          []int8 // MonthOf(Created)
-	CompletedMonth []int8 // completion-month bucket; -1 when not complete
-	Era            []int8 // EraOf(Created)
 }
 
 // Str materialises one span from the block's arena.
@@ -158,7 +149,6 @@ func BuildBlock(cs []*forum.Contract) *Block {
 		b.BTC[i] = intern(c.BTCAddress)
 		b.Tx[i] = intern(c.TxHash)
 	}
-	b.deriveScanColumns(cs)
 	return b
 }
 
@@ -229,29 +219,6 @@ func (b *Block) materialize() ([]*forum.Contract, error) {
 		}
 	}
 	return out, nil
-}
-
-// deriveScanColumns fills the Month/CompletedMonth/Era accelerator
-// columns from the rows: the source contracts when building, the
-// materialised ones when decoding (whose whole-second wire times bucket
-// the same way, since era and month boundaries are whole seconds).
-func (b *Block) deriveScanColumns(cs []*forum.Contract) {
-	b.Month = make([]int8, b.N)
-	b.CompletedMonth = make([]int8, b.N)
-	b.Era = make([]int8, b.N)
-	for i, c := range cs {
-		b.Month[i] = int8(MonthOf(c.Created))
-		if c.IsComplete() {
-			at := c.Completed
-			if at.IsZero() {
-				at = c.Created
-			}
-			b.CompletedMonth[i] = int8(MonthOf(at))
-		} else {
-			b.CompletedMonth[i] = -1
-		}
-		b.Era[i] = int8(EraOf(c.Created))
-	}
 }
 
 // Columns is the columnar projection of a dataset's contracts: an

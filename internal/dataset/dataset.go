@@ -129,48 +129,16 @@ type Dataset struct {
 	Contracts []*forum.Contract
 	Ledger    *chain.Ledger
 
-	// derived caches the columnar projection of Contracts and an opaque
-	// analysis-owned derived-groups value, both keyed to the current
-	// contract count. The zero value is ready to use, so field-literal
-	// construction (ingest.Apply) starts with an empty cache.
+	// derived caches the columnar projection of Contracts, keyed to the
+	// current contract count. The zero value is ready to use, so
+	// field-literal construction (ingest.Apply) starts with an empty cache.
 	derived derivedCache
 }
 
-// derivedCache holds lazily built per-corpus derivations. Two separate
-// mutexes because building the analysis groups reads Columns(): the
-// groups lock may be held across a Columns() call, never vice versa.
+// derivedCache holds the lazily built columnar projection.
 type derivedCache struct {
 	colsMu sync.Mutex
 	cols   *Columns
-
-	groupsMu sync.Mutex
-	groups   any
-}
-
-// CachedDerived returns the dataset's cached derived value when fresh
-// still accepts it, otherwise builds, stores, and returns a new one. The
-// analysis layer uses it to share one set of derived groupings (month
-// buckets, obligation classifications) across every Index over the same
-// corpus. build runs under the cache lock, so concurrent callers observe
-// exactly one construction.
-func (d *Dataset) CachedDerived(fresh func(any) bool, build func() any) any {
-	d.derived.groupsMu.Lock()
-	defer d.derived.groupsMu.Unlock()
-	if d.derived.groups != nil && fresh(d.derived.groups) {
-		return d.derived.groups
-	}
-	g := build()
-	d.derived.groups = g
-	return g
-}
-
-// StoreDerived installs a derived value built elsewhere — the incremental
-// append path extends the parent's groups and plants the result here so
-// later Index constructions over this dataset share it.
-func (d *Dataset) StoreDerived(g any) {
-	d.derived.groupsMu.Lock()
-	d.derived.groups = g
-	d.derived.groupsMu.Unlock()
 }
 
 // ErrOutOfWindow marks a loaded contract created outside the study window

@@ -118,9 +118,9 @@ func seedDataset(t *testing.T) *Dataset {
 	return d
 }
 
-// seedBlocks returns the seed corpus's scan columns as built and as
-// recomputed by the binary decode path; both must bucket identically.
-func seedBlocks(t *testing.T) map[string]*Block {
+// seedCorpora returns the seed corpus as built and after a TUDS round
+// trip; the filters and month buckets must count both the same.
+func seedCorpora(t *testing.T) map[string]*Dataset {
 	t.Helper()
 	d := seedDataset(t)
 	var buf bytes.Buffer
@@ -131,37 +131,24 @@ func seedBlocks(t *testing.T) map[string]*Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]*Block{}
-	for name, ds := range map[string]*Dataset{"built": d, "decoded": got} {
-		cols := ds.Columns()
-		if len(cols.Blocks) != 1 {
-			t.Fatalf("%s: %d blocks, want 1", name, len(cols.Blocks))
-		}
-		out[name] = cols.Blocks[0]
-	}
-	return out
+	return map[string]*Dataset{"built": d, "decoded": got}
 }
 
 func TestDatasetFilters(t *testing.T) {
-	for name, b := range seedBlocks(t) {
+	for name, d := range seedCorpora(t) {
 		var completed, public, completedPublic int
 		var eras [NumEras]int
-		for i := 0; i < b.N; i++ {
-			done := b.CompletedMonth[i] >= 0
-			if done != (forum.Status(b.Status[i]) == forum.StatusCompleted) {
-				t.Errorf("%s row %d: CompletedMonth %d disagrees with status %v",
-					name, i, b.CompletedMonth[i], forum.Status(b.Status[i]))
-			}
-			if done {
+		for _, c := range d.Contracts {
+			if c.IsComplete() {
 				completed++
 			}
-			if b.Public[i] {
+			if c.Public {
 				public++
-				if done {
+				if c.IsComplete() {
 					completedPublic++
 				}
 			}
-			eras[b.Era[i]]++
+			eras[EraOf(c.Created)]++
 		}
 		if completed != 2 {
 			t.Errorf("%s: Completed = %d", name, completed)
@@ -183,17 +170,23 @@ func TestDatasetFilters(t *testing.T) {
 
 func TestByMonth(t *testing.T) {
 	july := MonthOf(time.Date(2018, 7, 1, 0, 0, 0, 0, time.UTC))
-	for name, b := range seedBlocks(t) {
-		var months [NumMonths]int
-		total := 0
-		for i := 0; i < b.N; i++ {
-			months[b.Month[i]]++
-			if b.CompletedMonth[i] >= 0 {
-				total++
+	for name, d := range seedCorpora(t) {
+		var months, completedMonths [NumMonths]int
+		for _, c := range d.Contracts {
+			months[MonthOf(c.Created)]++
+			if c.IsComplete() {
+				completedMonths[MonthOf(c.Completed)]++
 			}
 		}
 		if months[july] != 1 {
 			t.Errorf("%s: 2018-07 bucket = %d", name, months[july])
+		}
+		if completedMonths[july] != 1 {
+			t.Errorf("%s: 2018-07 completion bucket = %d", name, completedMonths[july])
+		}
+		total := 0
+		for _, n := range completedMonths {
+			total += n
 		}
 		if total != 2 {
 			t.Errorf("%s: CompletedByMonth total = %d", name, total)

@@ -145,7 +145,6 @@ type Cache struct {
 	base     context.Context // run lifetime: cancelling it aborts in-flight runs
 	sem      chan struct{}   // caps concurrent pipeline runs
 	maxEntry int64           // admission bound: larger results are never cached
-	ttl      time.Duration   // max age a completed result is served (0 = forever)
 	sizer    func(*turnup.Results) int64
 	reg      *obs.Registry
 
@@ -160,7 +159,6 @@ type Cache struct {
 type cacheEntry struct {
 	p   Params
 	res *turnup.Results
-	at  time.Time // completion time, the TTL anchor
 }
 
 // flight is one in-progress run; every coalesced waiter blocks on done,
@@ -185,11 +183,6 @@ type CacheConfig struct {
 	MaxBytes int64
 	// MaxRuns caps concurrent pipeline runs (<=0 means 2).
 	MaxRuns int
-	// TTL bounds how long a completed result is served before it is re-run
-	// (<=0 means no age bound — generation keying already invalidates
-	// dataset-backed results exactly; the TTL is a belt-and-braces bound
-	// for deployments that want one).
-	TTL time.Duration
 	// Sizer overrides the admission-size estimate (tests pin byte
 	// accounting with deterministic sizes); nil means Results.SizeBytes.
 	Sizer func(*turnup.Results) int64
@@ -211,9 +204,6 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 	if cfg.MaxRuns <= 0 {
 		cfg.MaxRuns = 2
 	}
-	if cfg.TTL < 0 {
-		cfg.TTL = 0
-	}
 	sizer := cfg.Sizer
 	if sizer == nil {
 		sizer = func(res *turnup.Results) int64 { return res.SizeBytes() }
@@ -224,7 +214,7 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 	for _, name := range []string{
 		"serve_cache_hits_total", "serve_cache_misses_total",
 		"serve_cache_coalesced_total", "serve_cache_evictions_total",
-		"serve_cache_expirations_total", "serve_cache_invalidations_total",
+		"serve_cache_invalidations_total",
 		"serve_cache_rejected_total", "serve_runs_total",
 	} {
 		reg.Counter(name)
@@ -234,7 +224,6 @@ func NewCache(base context.Context, runner RunFunc, cfg CacheConfig, reg *obs.Re
 		base:     base,
 		sem:      make(chan struct{}, cfg.MaxRuns),
 		maxEntry: cfg.MaxBytes / 4,
-		ttl:      cfg.TTL,
 		sizer:    sizer,
 		reg:      reg,
 		lru:      newLRU[string, *cacheEntry](cfg.Capacity, cfg.MaxBytes),
@@ -251,9 +240,9 @@ func (c *Cache) syncGauges() {
 	c.reg.Gauge("serve_cache_entries").Set(float64(c.lru.len()))
 }
 
-// Get returns the results for p: from the LRU when present (and younger
-// than the TTL), by joining an identical in-flight run when one exists,
-// and otherwise by starting the pipeline (subject to the run semaphore).
+// Get returns the results for p: from the LRU when present, by joining
+// an identical in-flight run when one exists, and otherwise by starting
+// the pipeline (subject to the run semaphore).
 // snap is handed to the flight leader's runner; coalesced waiters' snaps
 // are interchangeable — an equal key pins an equal generation, hence the
 // same immutable snapshot. The run itself executes under the cache's base
@@ -267,16 +256,9 @@ func (c *Cache) Get(ctx context.Context, p Params, snap *Snapshot) (*turnup.Resu
 
 	c.mu.Lock()
 	if e, ok := c.lru.get(key); ok {
-		if c.ttl > 0 && time.Since(e.at) > c.ttl {
-			// Expired: drop the entry and fall through to a fresh run.
-			c.lru.remove(key)
-			c.syncGauges()
-			c.reg.Counter("serve_cache_expirations_total").Inc()
-		} else {
-			c.mu.Unlock()
-			c.reg.Counter("serve_cache_hits_total").Inc()
-			return e.res, StatusHit, nil
-		}
+		c.mu.Unlock()
+		c.reg.Counter("serve_cache_hits_total").Inc()
+		return e.res, StatusHit, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
@@ -355,7 +337,7 @@ func (c *Cache) finish(key string, p Params, f *flight, res *turnup.Results, err
 		// evict. Waiters still get the result; it is just never retained.
 		c.reg.Counter("serve_cache_rejected_total").Inc()
 	default:
-		evicted := c.lru.add(key, &cacheEntry{p: p, res: res, at: time.Now()}, size)
+		evicted := c.lru.add(key, &cacheEntry{p: p, res: res}, size)
 		c.reg.Counter("serve_cache_evictions_total").Add(int64(len(evicted)))
 		c.syncGauges()
 	}

@@ -2,7 +2,7 @@
 // evict-by-bytes, and — under `go test -race` — the invariant that the
 // sum of admitted entry sizes always equals both Cache.Bytes and the
 // serve_cache_bytes gauge, across concurrent admissions, LRU evictions,
-// TTL expirations, and EvictWhere invalidations.
+// and EvictWhere invalidations.
 package serve_test
 
 import (
@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"turnup"
 	"turnup/internal/obs"
@@ -39,7 +38,6 @@ func TestCacheByteAccountingInvariant(t *testing.T) {
 		Capacity: 24,
 		MaxBytes: 4096,
 		MaxRuns:  8,
-		TTL:      2 * time.Millisecond,
 		Sizer:    func(*turnup.Results) int64 { return next.Load() },
 	}, reg)
 
@@ -56,14 +54,9 @@ func TestCacheByteAccountingInvariant(t *testing.T) {
 					t.Errorf("Get(seed=%d): %v", seed, err)
 					return
 				}
-				switch i % 50 {
-				case 17:
+				if i%50 == 17 {
 					// Exercise invalidation concurrently with admissions.
 					c.EvictWhere(func(p serve.Params) bool { return p.Seed%5 == 0 })
-				case 33:
-					// Let some entries age past the 2ms TTL so re-Gets take
-					// the expiry path.
-					time.Sleep(3 * time.Millisecond)
 				}
 			}
 		}(w)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -14,65 +13,6 @@ import (
 // behaviour; "gzip;q=0" is rare enough to ignore for an internal tier.
 func acceptsGzip(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-}
-
-// negotiateGzip sets Vary: Accept-Encoding (on every response, compressed
-// or not — caches must key on the header either way) and, when the client
-// accepts gzip, returns a lazily compressing wrapper. The caller must
-// invoke the returned flush after the handler body. Compression starts at
-// the first write; WriteHeader skips bodiless statuses (204/304). Report
-// responses do not come through here: they carry their own gzip variant
-// (see Server.writeRendered), and only a disabled render tier streams
-// through this wrapper.
-func negotiateGzip(w http.ResponseWriter, r *http.Request) (http.ResponseWriter, func()) {
-	w.Header().Add("Vary", "Accept-Encoding")
-	if !acceptsGzip(r) {
-		return w, func() {}
-	}
-	gw := &gzipResponseWriter{ResponseWriter: w}
-	return gw, gw.flush
-}
-
-// gzipResponseWriter compresses the response body when the status allows
-// a body.
-type gzipResponseWriter struct {
-	http.ResponseWriter
-	zw          *gzip.Writer
-	wroteHeader bool
-	passthrough bool
-}
-
-func (g *gzipResponseWriter) WriteHeader(code int) {
-	if g.wroteHeader {
-		return
-	}
-	g.wroteHeader = true
-	if code == http.StatusNoContent || code == http.StatusNotModified {
-		g.passthrough = true
-	} else {
-		g.Header().Set("Content-Encoding", "gzip")
-		g.Header().Del("Content-Length")
-		g.zw = gzip.NewWriter(g.ResponseWriter)
-	}
-	g.ResponseWriter.WriteHeader(code)
-}
-
-func (g *gzipResponseWriter) Write(p []byte) (int, error) {
-	if !g.wroteHeader {
-		g.WriteHeader(http.StatusOK)
-	}
-	if g.passthrough {
-		return g.ResponseWriter.Write(p)
-	}
-	return g.zw.Write(p)
-}
-
-// flush terminates the gzip stream (writing its footer); it must run
-// after the handler body, deferred by the wrapping handler.
-func (g *gzipResponseWriter) flush() {
-	if g.zw != nil {
-		_ = g.zw.Close()
-	}
 }
 
 // A gzip member (RFC 1952) is a 10-byte header, a raw deflate stream

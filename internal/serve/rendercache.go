@@ -147,9 +147,8 @@ func (rc *RenderCache) Get(key string) (*Rendered, bool) {
 // of the budget are built but never retained
 // (serve_render_cache_rejected_total). The entry is returned either way,
 // so the caller serves this response from it regardless of admission.
-// A disabled tier compresses nothing: its entry serves one response, and
-// only a gzip client needs the compressed bytes, which the streaming
-// wrapper makes as it writes them.
+// A disabled tier compresses nothing: its entry serves one response,
+// identity to every client.
 func (rc *RenderCache) Put(key string, p Params, body []byte, weak bool) *Rendered {
 	e := buildRendered(key, p, body, weak, rc != nil)
 	if rc == nil {

@@ -189,20 +189,21 @@ func TestReportGzipOnMissAndPrecompressedHit(t *testing.T) {
 	}
 
 	// A disabled render tier builds no gzip variant, so its gzip client
-	// gets the streaming writer: chunked, with no Content-Length.
+	// gets the identity body, with its Content-Length, like any entry
+	// without a variant.
 	res := tinyResults(t)
 	off := httptest.NewServer(serve.New(serve.Options{RenderCacheBytes: -1,
 		Runner: func(context.Context, serve.Params, *serve.Snapshot) (*turnup.Results, error) { return res, nil }}))
 	defer off.Close()
-	streamResp, streamWire := getHdr(t, off.URL+"/v1/report?seed=7&scale=0.02&models=false", map[string]string{"Accept-Encoding": "gzip"})
-	if got := gunzip(t, streamResp, streamWire); got != string(plain) {
-		t.Fatal("streamed gzip body differs from identity body")
+	offResp, offBody := getHdr(t, off.URL+"/v1/report?seed=7&scale=0.02&models=false", map[string]string{"Accept-Encoding": "gzip"})
+	if enc := offResp.Header.Get("Content-Encoding"); enc != "" || string(offBody) != string(plain) {
+		t.Fatalf("disabled tier: Content-Encoding %q; want the identity body", enc)
 	}
-	if streamResp.ContentLength != -1 {
-		t.Fatalf("disabled tier sent Content-Length %d; want the streaming writer", streamResp.ContentLength)
+	if offResp.ContentLength != int64(len(plain)) {
+		t.Fatalf("disabled tier sent Content-Length %d, want %d", offResp.ContentLength, len(plain))
 	}
-	if vary := streamResp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
-		t.Fatalf("streamed gzip Vary=%q", vary)
+	if vary := offResp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+		t.Fatalf("disabled tier Vary=%q", vary)
 	}
 
 	// On a fresh enabled tier the miss serves the entry it just built, and
@@ -241,8 +242,18 @@ func TestVaryHeaderOnRegistryEndpoints(t *testing.T) {
 		if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
 			t.Errorf("%s: Vary=%q, want Accept-Encoding", path, vary)
 		}
-		// And gzip actually negotiates on these endpoints.
+		// Reports negotiate gzip; the small section and stage listings
+		// go out identity to every client.
 		zresp, wire := getHdr(t, ts.URL+path, map[string]string{"Accept-Encoding": "gzip"})
+		if !strings.HasPrefix(path, "/v1/report") {
+			if enc := zresp.Header.Get("Content-Encoding"); enc != "" {
+				t.Errorf("%s with Accept-Encoding gzip: Content-Encoding=%q, want identity", path, enc)
+			}
+			if ident, body := getHdr(t, ts.URL+path, nil); string(body) != string(wire) || ident.Header.Get("Vary") != zresp.Header.Get("Vary") {
+				t.Errorf("%s: gzip client got a different identity response", path)
+			}
+			continue
+		}
 		if enc := zresp.Header.Get("Content-Encoding"); enc != "gzip" {
 			t.Errorf("%s with Accept-Encoding gzip: Content-Encoding=%q", path, enc)
 			continue

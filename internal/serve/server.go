@@ -25,11 +25,6 @@ type Options struct {
 	CacheSize int // completed results retained in the LRU (default 64)
 	MaxRuns   int // concurrent pipeline runs (default 2); hits bypass this cap
 	Workers   int // analysis stages per run; 0 = GOMAXPROCS (not part of the cache key)
-	// CacheTTL bounds how long a completed result is served before it is
-	// recomputed (0 = forever). Generation keying already invalidates
-	// dataset-backed results exactly when an append lands; the TTL is an
-	// additional age bound for deployments that want one.
-	CacheTTL time.Duration
 	// MaxCacheBytes is the result cache's byte budget (default 1 GiB): each
 	// admitted result is sized once (Results.SizeBytes) and the LRU evicts
 	// by bytes, with CacheSize as a secondary count bound. Results sized
@@ -125,7 +120,6 @@ func New(opts Options) *Server {
 		Capacity: opts.CacheSize,
 		MaxBytes: opts.MaxCacheBytes,
 		MaxRuns:  opts.MaxRuns,
-		TTL:      opts.CacheTTL,
 	}, opts.Metrics)
 	if opts.RenderCacheBytes >= 0 {
 		s.rcache = NewRenderCache(opts.RenderCacheBytes, opts.Metrics)
@@ -405,10 +399,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // followed by the entry's pre-encoded report; a text body is the entry's
 // Body alone. A gzip client gets the entry's gzip variant, with the head
 // spliced in, so no response deflates anything. An entry without a
-// variant (under 256 B, or one that gzip does not shrink) is served
-// identity to every client, since compressing it per request would cost
-// a fresh deflate writer for nothing; only the disabled tier, which builds
-// no variants, compresses through the streaming wrapper.
+// variant (under 256 B, one that gzip does not shrink, or any entry of
+// the disabled tier, which builds no variants) is served identity to
+// every client, since compressing it per request would cost a fresh
+// deflate writer for what the variant exists to avoid.
 func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, e *Rendered, p Params, sections []string, status Status, ledger string, isJSON bool) {
 	h := w.Header()
 	h.Add("Vary", "Accept-Encoding")
@@ -430,21 +424,15 @@ func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, e *Render
 	} else {
 		h.Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	switch gz := acceptsGzip(r); {
-	case gz && e.Gzip != nil:
+	if e.Gzip != nil && acceptsGzip(r) {
 		h.Set("Content-Encoding", "gzip")
 		h.Set("Content-Length", strconv.Itoa(gzipSpliceLen(head, e.Gzip)))
 		_ = writeGzipSplice(w, head, e.Body, e.Gzip)
-	case gz && s.rcache == nil:
-		gw := &gzipResponseWriter{ResponseWriter: w}
-		defer gw.flush()
-		_, _ = gw.Write(head)
-		_, _ = gw.Write(e.Body)
-	default:
-		h.Set("Content-Length", strconv.Itoa(len(head)+len(e.Body)))
-		_, _ = w.Write(head)
-		_, _ = w.Write(e.Body)
+		return
 	}
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(e.Body)))
+	_, _ = w.Write(head)
+	_, _ = w.Write(e.Body)
 }
 
 // envelopeHead encodes resp, whose Report is empty, up to the report
@@ -555,16 +543,18 @@ type sectionsResponse struct {
 	Sections []string `json:"sections"`
 }
 
-// handleSections serves the report-section vocabulary.
+// handleSections serves the report-section vocabulary. Like the stage
+// table, it is a few hundred bytes, served identity to every client: a
+// per-request deflate writer would allocate thousands of times what it
+// saves. Vary is still set, as on every negotiable response.
 func (s *Server) handleSections(w http.ResponseWriter, r *http.Request) {
-	gw, flush := negotiateGzip(w, r)
-	defer flush()
+	w.Header().Add("Vary", "Accept-Encoding")
 	if wantJSON(r) {
-		writeJSON(gw, http.StatusOK, sectionsResponse{Meta: s.meta(r), Sections: turnup.Sections()})
+		writeJSON(w, http.StatusOK, sectionsResponse{Meta: s.meta(r), Sections: turnup.Sections()})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(gw, strings.Join(turnup.Sections(), "\n"))
+	fmt.Fprintln(w, strings.Join(turnup.Sections(), "\n"))
 }
 
 // stageJSON is one stage row of /v1/stages.
@@ -581,22 +571,22 @@ type stagesResponse struct {
 	Stages []stageJSON `json:"stages"`
 }
 
-// handleStages serves the analysis stage DAG (name, deps, model tier).
+// handleStages serves the analysis stage DAG (name, deps, model tier),
+// identity to every client (see handleSections).
 func (s *Server) handleStages(w http.ResponseWriter, r *http.Request) {
 	stages := turnup.Stages()
-	gw, flush := negotiateGzip(w, r)
-	defer flush()
+	w.Header().Add("Vary", "Accept-Encoding")
 	if wantJSON(r) {
 		out := make([]stageJSON, len(stages))
 		for i, st := range stages {
 			out[i] = stageJSON{Name: st.Name, Deps: st.Deps, Model: st.Model}
 		}
-		writeJSON(gw, http.StatusOK, stagesResponse{Meta: s.meta(r), Stages: out})
+		writeJSON(w, http.StatusOK, stagesResponse{Meta: s.meta(r), Stages: out})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, st := range stages {
-		fmt.Fprintf(gw, "%s deps=%s model=%t\n", st.Name, strings.Join(st.Deps, ","), st.Model)
+		fmt.Fprintf(w, "%s deps=%s model=%t\n", st.Name, strings.Join(st.Deps, ","), st.Model)
 	}
 }
 
